@@ -52,6 +52,18 @@ def test_solve_cache_key_covers_options_and_alphabet():
     assert alphabet == {"labels": ["a"], "attributes": ["href"]}
 
 
+def test_solve_cache_key_is_pinned():
+    # Literal addresses: a cache directory written by any earlier version of
+    # the format must keep hitting, so the key material may not drift.
+    formula = parse_formula("a & <1>b")
+    assert solve_cache_key(formula) == (
+        "9daaeedbff1ac4b0779cc7e972fda863ed1abee52ec1358822341eb87e36f13f"
+    )
+    assert solve_cache_key(formula, track_marks=False) == (
+        "c77e31b47b1647bbd6041dab8c5bd21338c80f9f260818cd2ada2c0876c3bd68"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The store itself
 # ---------------------------------------------------------------------------
