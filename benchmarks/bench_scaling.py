@@ -26,8 +26,8 @@ def test_scaling_with_query_depth(benchmark):
     payload = benchmark.pedantic(run_scaling, rounds=1, iterations=1)
     rows = payload["rows"]
     assert rows[-1]["depth"] == 8
-    # The acceptance bar of the frontier-fixpoint work: every row of the
-    # extended table solves in under five seconds.
+    # Acceptance bar: every row of the extended table solves in under five
+    # seconds.
     assert all(row["solve_seconds"] < 5.0 for row in rows)
     # Deterministic counter guard (the runner raises if it regresses).
     depth3 = next(row for row in rows if row["depth"] == 3)
@@ -43,7 +43,6 @@ def test_scaling_with_query_depth(benchmark):
         report.append(
             f"depth {row['depth']}: lean={row['lean_size']:>3} "
             f"iterations={row['iterations']:>2} "
-            f"delta_iterations={row['delta_iterations']:>2} "
             f"products={row['product_calls']:>3} "
             f"time={row['solve_seconds'] * 1000:>8.1f} ms"
         )

@@ -81,7 +81,6 @@ from repro.analysis.problems import (
     document_formula,
     label_projection,
     relevant_attributes,
-    relevant_labels,
     type_inclusion_attributes,
 )
 from repro.cache import DiskSolveCache, SolveRecord
@@ -90,7 +89,7 @@ from repro.core.errors import BudgetExceeded, ReproError, UnsupportedTypeError
 from repro.logic import syntax as sx
 from repro.logic.negation import negate
 from repro.solver.governor import Budget
-from repro.solver.symbolic import MergedSolver, SymbolicSolver
+from repro.solver.symbolic import SymbolicSolver
 from repro.trees.unranked import serialize_tree
 from repro.xmltypes.ast import BinaryTypeGrammar
 from repro.xmltypes.compile import compile_dtd, compile_grammar, project_grammar
@@ -100,13 +99,6 @@ from repro.xmltypes.library import builtin_dtd
 from repro.xpath import ast as xp
 from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
-
-#: Modes of :meth:`StaticAnalyzer.solve_many` merged-Lean batch solving.
-#: ``"off"`` — one fixpoint per query (the classic behaviour, the default);
-#: ``"on"`` — group compatible queries and decide each group in one merged
-#: fixpoint; ``"auto"`` — merged for in-process batches of two or more
-#: queries, classic otherwise (multiprocess fan-out keeps per-query solves).
-BATCH_FIXPOINT_MODES = ("on", "off", "auto")
 
 #: Query kinds accepted by :class:`Query` / :meth:`StaticAnalyzer.solve_many`.
 KINDS = (
@@ -355,13 +347,6 @@ class BatchReport:
     disk_cache_hits: int = 0
     #: Worker processes the batch fanned out to (1: solved in-process).
     workers: int = 1
-    #: Merged-Lean fixpoint groups the batch was decided through (0 when
-    #: batch-fixpoint mode was off or nothing was mergeable); each group of
-    #: N queries costs one solver run instead of up to N.
-    merged_groups: int = 0
-    #: Queries (equivalence directions counted separately) answered by a
-    #: merged group's shared fixpoint rather than an individual solve.
-    merged_queries: int = 0
 
     @property
     def errors(self) -> int:
@@ -381,8 +366,6 @@ class BatchReport:
             "cache_hits": self.cache_hits,
             "disk_cache_hits": self.disk_cache_hits,
             "workers": self.workers,
-            "merged_groups": self.merged_groups,
-            "merged_queries": self.merged_queries,
             "errors": self.errors,
             "unknowns": self.unknowns,
         }
@@ -391,20 +374,15 @@ class BatchReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None``/``()``
-#: override in :meth:`StaticAnalyzer._reduce`.
-_UNSET = object()
-
-
 @dataclass
 class _WorkItem:
     """One solvable unit of a batch: a query, or one equivalence direction.
 
-    Batch paths (merged and multiprocess) decompose each equivalence query
-    into its two directed containments so the directions can share solver
-    work with the rest of the batch exactly like the sequential path's
-    recursive :meth:`StaticAnalyzer.solve` does; ``role`` remembers which
-    direction this item is so the equivalence outcome can be reassembled.
+    The multiprocess batch path decomposes each equivalence query into its
+    two directed containments so the directions can share solver work with
+    the rest of the batch exactly like the sequential path's recursive
+    :meth:`StaticAnalyzer.solve` does; ``role`` remembers which direction
+    this item is so the equivalence outcome can be reassembled.
     """
 
     out_index: int
@@ -412,12 +390,6 @@ class _WorkItem:
     #: directed containments of an equivalence query.
     role: str | None
     query: Query
-    #: Populated by the merged path: the item's own (batch-independent)
-    #: reduction, its problem description and polarity, and the outcome.
-    formula: object | None = None
-    problem: str = ""
-    positive: bool = True
-    outcome: AnalysisOutcome | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +531,18 @@ class StaticAnalyzer:
         degrade: bool = False,
         batch_fixpoint: str = "off",
     ):
-        if batch_fixpoint not in BATCH_FIXPOINT_MODES:
+        """See the class docstring for the options.
+
+        ``batch_fixpoint`` exists only for one caller: the repo benchmark's
+        worker (``perfbench/worker.py``) still passes ``batch_fixpoint="off"``.
+        Merged-Lean batch solving was removed, so ``"off"`` is the only
+        accepted value and it is neither stored nor forwarded.
+        """
+        if batch_fixpoint != "off":
             raise ValueError(
-                f"batch_fixpoint must be one of {BATCH_FIXPOINT_MODES}; "
-                f"got {batch_fixpoint!r}"
+                "merged-Lean batch solving was removed; batch_fixpoint "
+                f"accepts only 'off', got {batch_fixpoint!r}"
             )
-        #: Default merged-Lean batching mode for :meth:`solve_many` (see
-        #: :data:`BATCH_FIXPOINT_MODES`); per-call overrides win.
-        self.batch_fixpoint = batch_fixpoint
         self.early_quantification = early_quantification
         self.monolithic_relation = monolithic_relation
         self.interleaved_order = interleaved_order
@@ -1016,36 +992,20 @@ class StaticAnalyzer:
             )
         return relevant_attributes(*query.exprs)
 
-    def _reduce(
-        self,
-        query: Query,
-        labels: object = _UNSET,
-        attributes: object = _UNSET,
-    ) -> tuple[sx.Formula, str, bool]:
+    def _reduce(self, query: Query) -> tuple[sx.Formula, str, bool]:
         """Reduce a (non-equivalence) query to one satisfiability question.
 
         Returns ``(formula, problem description, positive)`` where ``positive``
         tells whether the property *holds* when the formula is satisfiable
         (satisfiability, overlap) or when it is unsatisfiable (the rest).
-
-        ``labels``/``attributes`` override the problem's own element/attribute
-        alphabets: the merged-Lean batch path rebuilds every group member
-        over the *group's* union alphabet so the goals agree on the meaning
-        of the "any other label"/"any other attribute" propositions (pruning
-        onto a superset of the tested labels preserves every verdict — the
-        label-projection lemma of :func:`repro.analysis.problems.
-        label_projection` — so the widened reduction answers the same
-        question).
         """
         kind, exprs, types = query.kind, query.exprs, query.types
         # All expressions of a problem share one attribute alphabet (and one
         # element alphabet for pruning) so type constraints agree across the
         # sub-formulas (see repro.analysis); type_inclusion derives a richer
         # attribute alphabet of its own (see _problem_attributes).
-        if labels is _UNSET:
-            labels = self._label_projection(exprs, types)
-        if attributes is _UNSET:
-            attributes = self._problem_attributes(query)
+        labels = self._label_projection(exprs, types)
+        attributes = self._problem_attributes(query)
         problem = self._problem_description(query)
         if kind == "satisfiability":
             return (
@@ -1109,9 +1069,9 @@ class StaticAnalyzer:
         """Combine the two directed containment outcomes of an equivalence.
 
         Shared by the sequential path (which solves the directions through
-        :meth:`solve`) and the batch paths (which decompose equivalence into
-        two :class:`_WorkItem` containments so the directions join batch
-        deduplication and merged groups like any other query).
+        :meth:`solve`) and the multiprocess batch path (which decomposes
+        equivalence into two :class:`_WorkItem` containments so the directions
+        join batch deduplication like any other query).
         """
         expr1, expr2 = query.exprs
         if not forward.ok or not backward.ok:
@@ -1158,6 +1118,7 @@ class StaticAnalyzer:
                 holds=False,
                 satisfiable=refuted.satisfiable,
                 from_cache=refuted.from_cache,
+                cache=refuted.cache,
                 solve_seconds=forward.solve_seconds + backward.solve_seconds,
                 statistics={
                     "forward": forward.statistics,
@@ -1167,12 +1128,18 @@ class StaticAnalyzer:
                 parts=[forward, backward],
             )
         failed = forward if not forward.holds else backward
+        # Answered from cache only when both directions were; the slower
+        # layer that answered names the source.
+        cache = None
+        if forward.cache is not None and backward.cache is not None:
+            cache = "disk" if "disk" in (forward.cache, backward.cache) else "memory"
         return AnalysisOutcome(
             query=query,
             problem=f"equivalence {expr1} ≡ {expr2}",
             holds=forward.holds and backward.holds,
             satisfiable=failed.satisfiable,
             from_cache=forward.from_cache and backward.from_cache,
+            cache=cache,
             solve_seconds=forward.solve_seconds + backward.solve_seconds,
             statistics={
                 "forward": forward.statistics,
@@ -1217,7 +1184,6 @@ class StaticAnalyzer:
             "backend": self.backend,
             "budget": self.budget,
             "degrade": self.degrade,
-            "batch_fixpoint": self.batch_fixpoint,
         }
 
     def solve_many(
@@ -1225,7 +1191,6 @@ class StaticAnalyzer:
         queries: Iterable[Query],
         workers: int = 1,
         budget: Budget | None = None,
-        batch_fixpoint: str | None = None,
     ) -> BatchReport:
         """Answer a batch of queries, amortising translations and solves.
 
@@ -1251,27 +1216,8 @@ class StaticAnalyzer:
         query whose worker dies twice (once in the shared pool, once in an
         isolated single-worker retry) is quarantined as
         ``unknown("worker-crash")`` — every other verdict is unaffected.
-
-        ``batch_fixpoint`` selects merged-Lean batch solving (see
-        :data:`BATCH_FIXPOINT_MODES`; ``None`` falls back to the analyzer's
-        construction-time mode, default ``"off"``).  When merged solving
-        engages, compatible cache-missing queries are grouped by schema,
-        rebuilt over each group's union alphabet, and decided by *one*
-        fixpoint per group — ``solver_runs`` then counts fixpoints, not
-        queries, and ``merged_groups``/``merged_queries`` report the
-        grouping.  Verdicts, witnesses and ``verdict_status`` are identical
-        to per-query mode; a budget exhausted inside a merged group bisects
-        the group and re-solves the halves so only genuinely expensive
-        queries go unknown, never bystanders.
         """
         queries = list(queries)
-        mode = self.batch_fixpoint if batch_fixpoint is None else batch_fixpoint
-        if mode not in BATCH_FIXPOINT_MODES:
-            raise ValueError(
-                f"batch_fixpoint must be one of {BATCH_FIXPOINT_MODES}; got {mode!r}"
-            )
-        if mode == "on" or (mode == "auto" and workers <= 1 and len(queries) >= 2):
-            return self._solve_many_merged(queries, budget)
         if workers <= 1 or len(queries) <= 1:
             runs_before = self.solver_runs
             hits_before = self.solve_cache_hits
@@ -1302,8 +1248,6 @@ class StaticAnalyzer:
             query.exprs,
             tuple(self._type_key(xml_type) for xml_type in query.types),
         )
-
-    # -- merged-Lean batch solving -------------------------------------------------
 
     def _expand_work_items(self, queries: list[Query]) -> list[_WorkItem]:
         """Decompose a batch into work items (equivalence → two containments)."""
@@ -1345,277 +1289,6 @@ class StaticAnalyzer:
                 queries[index], pair["forward"], pair["backward"]
             )
         return outcomes
-
-    @staticmethod
-    def _mergeable_key(key: object) -> bool:
-        """Whether a type cache key may join a merged-Lean group.
-
-        Grouping is a sharing heuristic, not a soundness requirement (each
-        goal keeps its own alphabet inside the merged solver): built-in
-        schema names and parsed DTD/grammar objects put queries whose
-        closures overlap heavily — the schema's type translation — in one
-        arena.  Raw-formula type constraints share no such structure, so
-        such queries solve individually rather than bloat a group's Lean.
-        """
-        if key is None:
-            return True
-        if key[0] == "rooted":
-            return StaticAnalyzer._mergeable_key(key[1])
-        return key[0] in ("builtin", "object")
-
-    def _solve_many_merged(
-        self, queries: list[Query], budget: Budget | None
-    ) -> BatchReport:
-        """The merged-Lean batch path: one fixpoint per compatible group.
-
-        Stage 1 answers every work item it can from the cache layers (keyed
-        by the item's own batch-independent reduction).  Stage 2 groups the
-        misses by schema — one shared non-``None`` type per group, or all
-        untyped — so grouped closures actually overlap, dedupes the goals,
-        and decides each group in one
-        :class:`repro.solver.symbolic.MergedSolver` fixpoint.  Goals keep
-        their per-query reductions (the solver factors its state per goal,
-        restricting each goal to its own alphabet), so every verdict is
-        published under the same batch-independent key a single solve uses
-        and later batches of any composition transfer the work.
-        """
-        started = time.perf_counter()
-        runs_before = self.solver_runs
-        hits_before = self.solve_cache_hits
-        disk_before = self.disk_cache_hits
-        items = self._expand_work_items(queries)
-        pending: list[_WorkItem] = []
-        for item in items:
-            query = item.query
-            try:
-                formula, problem, positive = self._reduce(query)
-            except ANALYSIS_ERRORS as exc:
-                item.outcome = self._error_outcome(query, exc)
-                continue
-            item.formula, item.problem, item.positive = formula, problem, positive
-            record = self._solve_cache.get(formula)
-            if record is not None:
-                self.solve_cache_hits += 1
-                item.outcome = self._outcome(query, problem, record, "memory", positive)
-                continue
-            if self.disk_cache is not None:
-                record = self.disk_cache.get(formula)
-                if record is not None:
-                    self.disk_cache_hits += 1
-                    self._solve_cache[formula] = record
-                    item.outcome = self._outcome(query, problem, record, "disk", positive)
-                    continue
-            pending.append(item)
-
-        groups: dict[object, list[_WorkItem]] = {}
-        singles: list[_WorkItem] = []
-        for item in pending:
-            keys = {
-                self._type_key(xml_type)
-                for xml_type in item.query.types
-                if xml_type is not None
-            }
-            if len(keys) > 1 or not all(self._mergeable_key(key) for key in keys):
-                singles.append(item)
-                continue
-            group_key = next(iter(keys)) if keys else None
-            groups.setdefault(group_key, []).append(item)
-
-        merged_groups = 0
-        merged_queries = 0
-        for group in groups.values():
-            if len(group) < 2:
-                singles.extend(group)
-                continue
-            merged_groups += 1
-            merged_queries += len(group)
-            self._solve_merged_group(group, budget)
-        for item in singles:
-            item.outcome = self.solve(item.query, budget)
-
-        outcomes = self._assemble_outcomes(
-            queries, items, [item.outcome for item in items]
-        )
-        return BatchReport(
-            outcomes=outcomes,
-            total_seconds=time.perf_counter() - started,
-            solver_runs=self.solver_runs - runs_before,
-            cache_hits=self.solve_cache_hits - hits_before,
-            disk_cache_hits=self.disk_cache_hits - disk_before,
-            merged_groups=merged_groups,
-            merged_queries=merged_queries,
-        )
-
-    def _solve_merged_group(
-        self, group: list[_WorkItem], budget: Budget | None
-    ) -> None:
-        """Decide one compatible group of cache-missing items in one fixpoint.
-
-        Sets ``item.outcome`` on every member.  Each member keeps its own
-        batch-independent reduction (its per-query pruned alphabet): the
-        merged solver's factored per-goal state restricts every goal's label
-        constraint to its own alphabet, so no rebuild over a union alphabet
-        is needed — which keeps cache keys batch-independent *and* makes the
-        verdicts, statistics-relevant iteration counts, and reconstructed
-        witnesses of a merged run identical to the per-query ones.  The
-        goals are deduped — a batch whose queries reduce to one formula
-        still costs one goal bit.
-        """
-        effective = self._effective_budget(budget)
-        members = [item for item in group if item.formula is not None]
-        if not members:
-            return
-
-        # Dedupe the goals, preserving first-appearance order (the order
-        # assigns the goal bits of the merged Lean).
-        order: list[sx.Formula] = []
-        leaders: dict[sx.Formula, _WorkItem] = {}
-        followers: dict[sx.Formula, list[_WorkItem]] = {}
-        for item in members:
-            formula = item.formula
-            if formula in leaders:
-                followers[formula].append(item)
-            else:
-                leaders[formula] = item
-                followers[formula] = []
-                order.append(formula)
-        lift_contexts = {
-            formula: self._lift_context(leaders[formula].query) for formula in order
-        }
-
-        records: dict[sx.Formula, SolveRecord] = {}
-        sources: dict[sx.Formula, str | None] = {}
-        failures: dict[sx.Formula, Exception] = {}
-        unsolved: list[sx.Formula] = []
-        for formula in order:
-            record = self._solve_cache.get(formula)
-            if record is not None:
-                self.solve_cache_hits += 1
-                records[formula] = record
-                sources[formula] = "memory"
-            else:
-                unsolved.append(formula)
-        if unsolved and self.disk_cache is not None:
-            batch_records = self.disk_cache.get_batch(unsolved)
-            if batch_records is not None:
-                for formula, record in zip(unsolved, batch_records):
-                    self.disk_cache_hits += 1
-                    self._solve_cache[formula] = record
-                    records[formula] = record
-                    sources[formula] = "disk"
-                unsolved = []
-        if unsolved:
-            solved = self._run_merged_goals(unsolved, effective, lift_contexts)
-            for formula, result in solved.items():
-                if isinstance(result, SolveRecord):
-                    self._solve_cache[formula] = result
-                    records[formula] = result
-                    sources[formula] = None
-                else:
-                    failures[formula] = result
-
-        for formula in order:
-            leader = leaders[formula]
-            duplicates = followers[formula]
-            if formula not in records:
-                failure = failures[formula]
-                for item in [leader] + duplicates:
-                    if isinstance(failure, BudgetExceeded):
-                        item.outcome = self._unknown_outcome(
-                            item.query, item.problem, failure
-                        )
-                    else:
-                        item.outcome = self._error_outcome(item.query, failure)
-                continue
-            record = records[formula]
-            source = sources[formula]
-            # The goal *is* the item's batch-independent reduction, so the
-            # subformula-level entry written here transfers to later batches
-            # of any composition and to plain single-query solves.
-            if source is None and self.disk_cache is not None:
-                self.disk_cache.put(formula, record)
-                self.disk_cache_writes += 1
-            leader.outcome = self._outcome(
-                leader.query, leader.problem, record, source, leader.positive
-            )
-            for item in duplicates:
-                self.solve_cache_hits += 1
-                item.outcome = self._outcome(
-                    item.query, item.problem, record, "memory", item.positive
-                )
-
-    def _run_merged_goals(
-        self,
-        goals: list[sx.Formula],
-        budget: Budget | None,
-        lift_contexts: dict[sx.Formula, tuple[DTD, tuple[str, ...]] | None],
-    ) -> dict[sx.Formula, object]:
-        """Run one merged fixpoint; bisect on budget exhaustion.
-
-        Returns a map from goal formula to its :class:`SolveRecord`, or to
-        the exception that stopped it.  A ``BudgetExceeded`` in a merged
-        group must not take bystanders down with the offending goal, so the
-        group is split in half and each half re-solved under a fresh
-        governor; the recursion bottoms out at single goals, where the
-        failure is genuinely attributable (and, with ``degrade=True``, the
-        bounded explicit solver still gets its chance).
-        """
-        try:
-            merged = MergedSolver(
-                tuple(goals),
-                early_quantification=self.early_quantification,
-                monolithic_relation=self.monolithic_relation,
-                interleaved_order=self.interleaved_order,
-                track_marks=self.track_marks,
-                backend=self.backend,
-                budget=budget,
-            ).solve()
-        except BudgetExceeded as exc:
-            if len(goals) == 1:
-                if self.degrade and exc.reason != "worker-crash":
-                    record = self._degraded_record(goals[0], lift_contexts[goals[0]])
-                    if record is not None:
-                        return {goals[0]: record}
-                return {goals[0]: exc}
-            middle = len(goals) // 2
-            solved = self._run_merged_goals(goals[:middle], budget, lift_contexts)
-            solved.update(self._run_merged_goals(goals[middle:], budget, lift_contexts))
-            return solved
-        except ANALYSIS_ERRORS as exc:
-            # Input-shaped failures (e.g. a closure-size limit on the merged
-            # disjunction) bisect the same way so only the offending goal
-            # reports the error.
-            if len(goals) == 1:
-                return {goals[0]: exc}
-            middle = len(goals) // 2
-            solved = self._run_merged_goals(goals[:middle], budget, lift_contexts)
-            solved.update(self._run_merged_goals(goals[middle:], budget, lift_contexts))
-            return solved
-        self.solver_runs += 1
-        results: dict[sx.Formula, object] = {}
-        solved_records: list[SolveRecord] = []
-        for formula, result in zip(goals, merged.results):
-            document = result.model_document()
-            lift_context = lift_contexts[formula]
-            if document is not None and lift_context is not None:
-                lift_dtd, kept_labels = lift_context
-                document = (
-                    lift_wildcards(lift_dtd, document, exclude=kept_labels) or document
-                )
-            statistics = result.statistics.as_dict()
-            statistics["merged_goals"] = len(goals)
-            record = SolveRecord(
-                satisfiable=result.satisfiable,
-                counterexample=None if document is None else serialize_tree(document),
-                statistics=statistics,
-                solve_seconds=result.statistics.solve_seconds,
-            )
-            results[formula] = record
-            solved_records.append(record)
-        if self.disk_cache is not None:
-            self.disk_cache.put_batch(goals, solved_records)
-            self.disk_cache_writes += 1
-        return results
 
     #: Pool respawns tolerated per batch before the remaining queries are
     #: declared ``unknown("worker-crash")`` wholesale.  A bound this small is

@@ -56,11 +56,9 @@ from repro.logic.printer import format_formula
 
 #: Bump to invalidate every existing on-disk entry (entries are stored under
 #: a ``v<N>`` directory and re-checked against this value when read).
-#: v2: entry keys gained a ``scope`` discriminator (``single`` verdicts vs
-#: ``merged-batch`` entries holding one record per goal bit of a merged-Lean
-#: batch solve), so batch-level and subformula entries can never alias the
-#: old v1 single-query entries; v1 entries read as clean misses (they live
-#: under the untouched ``v1/`` directory), never as corruption.
+#: v2: entry keys gained a ``scope=single`` line; v1 entries read as clean
+#: misses (they live under the untouched ``v1/`` directory), never as
+#: corruption.
 CACHE_FORMAT_VERSION = 2
 
 #: Characters of :func:`repro.logic.printer.format_formula` output stored in
@@ -182,27 +180,21 @@ def lean_alphabet(formula: sx.Formula) -> dict[str, list[str]]:
     }
 
 
-def solve_cache_key(
-    formula: sx.Formula, track_marks: bool = True, scope: str = "single"
-) -> str:
+def solve_cache_key(formula: sx.Formula, track_marks: bool = True) -> str:
     """The content address of a formula's solver verdict (``entry_key``).
 
     Covers the canonical formula digest, the Lean alphabet, the cache format
     version, the only solver option that changes verdicts
     (``track_marks=False`` is the deliberately unsound ablation mode of
-    :class:`repro.solver.symbolic.SymbolicSolver`), and the entry ``scope``:
-    ``"single"`` for ordinary per-formula verdicts (including the
-    subformula-level entries a merged batch solve writes per goal — the
-    verdict is the same question, so they *should* share addresses with
-    single-query solves), versus the distinct scope of
-    :func:`merged_entry_key` for batch-level entries, which can therefore
-    never alias a per-formula record.
+    :class:`repro.solver.symbolic.SymbolicSolver`).  The literal
+    ``scope=single`` line is part of the version-2 key material: dropping it
+    would move every address and orphan existing cache directories.
     """
     alphabet = lean_alphabet(formula)
     material = "\n".join(
         [
             f"repro-solve-cache/v{CACHE_FORMAT_VERSION}",
-            f"scope={scope}",
+            "scope=single",
             formula_digest(formula),
             "labels=" + ",".join(alphabet["labels"]),
             "attributes=" + ",".join(alphabet["attributes"]),
@@ -215,29 +207,6 @@ def solve_cache_key(
 #: Backwards-compatible alias: the function other modules historically call
 #: "the entry key" of the disk cache.
 entry_key = solve_cache_key
-
-
-def merged_entry_key(goal_keys: "list[str] | tuple[str, ...]", track_marks: bool = True) -> str:
-    """The content address of one merged-Lean *batch-level* entry.
-
-    A merged batch solve decides N goal formulas in one fixpoint; the batch
-    entry stores all N records under a single key so an identical batch
-    replays with one read.  The key material covers the per-goal entry keys
-    *in goal-bit order* — the order assigns the goal bits of the merged
-    Lean, so two batches with the same goals in different order are
-    different encodings and different entries — plus a ``merged-batch``
-    scope line that keeps these entries disjoint from every single-formula
-    address by construction.
-    """
-    material = "\n".join(
-        [
-            f"repro-solve-cache/v{CACHE_FORMAT_VERSION}",
-            "scope=merged-batch",
-            f"track_marks={track_marks}",
-            "goals=" + ",".join(goal_keys),
-        ]
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -359,73 +328,6 @@ class DiskSolveCache:
         if faults.should_fire("cache-torn-write", key):
             # Simulate a writer dying mid-write *without* the atomic-publish
             # protection: half a payload lands at the final path.
-            path.write_text(encoded[: len(encoded) // 2], encoding="utf-8")
-            return path
-        self._sequence += 1
-        scratch = path.parent / f".{key}.{os.getpid()}.{self._sequence}.tmp"
-        scratch.write_text(encoded, encoding="utf-8")
-        os.replace(scratch, path)
-        return path
-
-    # -- merged-batch entries ----------------------------------------------------
-
-    def batch_key(self, formulas: "list[sx.Formula] | tuple[sx.Formula, ...]") -> str:
-        """The batch-level address of a merged solve over ``formulas``."""
-        return merged_entry_key(
-            [self.key_for(formula) for formula in formulas],
-            track_marks=self.track_marks,
-        )
-
-    def get_batch(
-        self, formulas: "list[sx.Formula] | tuple[sx.Formula, ...]"
-    ) -> "list[SolveRecord] | None":
-        """Stored records of an identical merged batch (one per goal), or ``None``.
-
-        Same quarantine-on-corruption discipline as :meth:`get`; an entry
-        whose goal list does not match exactly (a hash collision, or a
-        hand-edited file) is a plain miss.
-        """
-        key = self.batch_key(formulas)
-        path = self.path_for_key(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("version") != CACHE_FORMAT_VERSION or payload.get("key") != key:
-                return None
-            if payload.get("scope") != "merged-batch":
-                return None
-            if payload.get("goals") != [self.key_for(formula) for formula in formulas]:
-                return None
-            records = payload["records"]
-            if len(records) != len(formulas):
-                return None
-            return [SolveRecord.from_dict(record) for record in records]
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            return None
-
-    def put_batch(
-        self,
-        formulas: "list[sx.Formula] | tuple[sx.Formula, ...]",
-        records: "list[SolveRecord]",
-    ) -> Path:
-        """Persist a merged batch's per-goal records (atomic publish)."""
-        if len(records) != len(formulas):
-            raise ValueError("one record per goal formula required")
-        key = self.batch_key(formulas)
-        path = self.path_for_key(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "key": key,
-            "scope": "merged-batch",
-            "goals": [self.key_for(formula) for formula in formulas],
-            "records": [record.as_dict() for record in records],
-            "created": time.time(),
-        }
-        encoded = json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
-        if faults.should_fire("cache-torn-write", key):
             path.write_text(encoded[: len(encoded) // 2], encoding="utf-8")
             return path
         self._sequence += 1

@@ -1,6 +1,6 @@
 """``repro bench`` — re-emit the machine-readable ``BENCH_*.json`` reports.
 
-Four benchmarks are built in (the pytest wrappers under ``benchmarks/`` call
+Five benchmarks are built in (the pytest wrappers under ``benchmarks/`` call
 the same functions, so the numbers cannot drift between the CLI and the
 suite):
 
@@ -19,10 +19,6 @@ suite):
   fails when the depth-3 ``product_calls`` counter regresses above
   :data:`SCALING_PRODUCT_CALLS_MAX_DEPTH3` — a deterministic performance
   guard that needs no wall-clock.
-* ``frontier`` → ``BENCH_frontier.json`` — the frontier-fixpoint ablation:
-  the same problems solved with and without delta products, with the
-  ``delta_iterations`` / ``partitions_skipped`` counters recording how much
-  incremental evaluation engaged.
 * ``backend`` → ``BENCH_backend.json`` — the BDD-backend ablation: every
   scaling row solved once per registered engine (``dict`` vs ``arena``),
   verdicts and solver-level counters asserted identical, per-backend
@@ -34,12 +30,6 @@ suite):
   stylesheet), recording queries planned per rule, solver runs, cache hits
   and wall time, plus a warm repeat through the same analyzer that must
   need **zero** further solver runs.
-* ``batch`` → ``BENCH_batch_fixpoint.json`` — merged-Lean batch solving
-  (``batch_fixpoint="on"``) vs per-query solving on the 50-query workload
-  and on the seeded example audit: verdicts/witnesses/findings asserted
-  identical, the merged audit's solver runs held under a committed ceiling
-  (and ≥5x below per-query mode), and full mode enforcing the
-  :data:`BATCH_REQUIRED_SPEEDUP` cold wall-clock speedup.
 """
 
 from __future__ import annotations
@@ -59,14 +49,9 @@ BENCHMARKS = (
     "api-batch",
     "cli-cache",
     "scaling",
-    "frontier",
     "backend",
     "audit",
-    "batch",
 )
-
-#: Emitted file names that differ from ``BENCH_<name>.json``.
-_REPORT_NAMES = {"batch": "BENCH_batch_fixpoint.json"}
 
 #: The twelve benchmark XPath expressions of Figure 21 — the single home of
 #: this corpus (benchmarks/conftest.py re-exports it for the pytest files).
@@ -328,8 +313,8 @@ SCALING_DEPTHS = tuple(range(1, 9))
 SCALING_QUICK_DEPTHS = (1, 2, 3)
 
 #: CI guard: the depth-3 relational-product counter must not regress above
-#: this (measured 20 after the frontier fixpoint + elimination-order work of
-#: PR 4, committed with headroom for benign schedule changes).  Counters are
+#: this (measured 20 after the elimination-order work, committed with
+#: headroom for benign schedule changes).  Counters are
 #: deterministic, so this needs no wall-clock and never flakes.
 SCALING_PRODUCT_CALLS_MAX_DEPTH3 = 22
 
@@ -383,70 +368,6 @@ def run_scaling(quick: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# frontier
-# ---------------------------------------------------------------------------
-
-
-def run_frontier(quick: bool = False) -> dict:
-    """Frontier-fixpoint ablation: delta products on vs off, per depth.
-
-    Both engines must agree on every verdict and iteration count; the
-    counters show how much incremental evaluation engaged (delta products
-    admitted by the size gate, partitions skipped by the cone-of-influence
-    check) and what it buys in ternary-operation counts.
-    """
-    from repro.analysis.problems import _query_formula
-    from repro.logic import syntax as sx
-    from repro.logic.negation import negate
-    from repro.solver.symbolic import SymbolicSolver
-
-    rows = []
-    for depth in SCALING_QUICK_DEPTHS if quick else (1, 2, 3, 4, 5, 6):
-        query = scaling_query(depth)
-        weaker = query.replace("[b2]", "") if depth >= 2 else "*"
-        formula = sx.mk_and(
-            _query_formula(query, None), negate(_query_formula(weaker, None))
-        )
-        on = SymbolicSolver(formula, frontier=True).solve()
-        off = SymbolicSolver(formula, frontier=False).solve()
-        assert on.satisfiable == off.satisfiable
-        assert on.statistics.iterations == off.statistics.iterations
-        rows.append(
-            {
-                "depth": depth,
-                "query": query,
-                "frontier": {
-                    key: on.statistics.as_dict()[key]
-                    for key in (
-                        "delta_iterations",
-                        "partitions_skipped",
-                        "product_calls",
-                        "bdd_ite_calls",
-                        "bdd_peak_node_count",
-                        "solve_seconds",
-                    )
-                },
-                "naive": {
-                    key: off.statistics.as_dict()[key]
-                    for key in (
-                        "delta_iterations",
-                        "partitions_skipped",
-                        "product_calls",
-                        "bdd_ite_calls",
-                        "bdd_peak_node_count",
-                        "solve_seconds",
-                    )
-                },
-            }
-        )
-    return {
-        "benchmark": "frontier (delta) fixpoint ablation",
-        "quick": quick,
-        "rows": rows,
-    }
-
-
-# ---------------------------------------------------------------------------
 # backend
 # ---------------------------------------------------------------------------
 
@@ -461,7 +382,7 @@ BACKEND_REPS = 3
 
 #: Deterministic ``--quick`` guard: the depth-3 ``bdd_ite_calls`` counter of
 #: each backend must not regress above its committed ceiling (measured
-#: 13,123 for dict and 17,926 for arena — the arena counts every fused
+#: 11,023 for dict and 16,578 for arena — the arena counts every fused
 #: kernel frame where the dict engine counts top-level ternary calls, so the
 #: ceilings are per-backend by construction).  Counters are deterministic,
 #: so this guard needs no wall-clock and never flakes.
@@ -643,158 +564,6 @@ def run_audit(quick: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# batch (merged-Lean batch fixpoint)
-# ---------------------------------------------------------------------------
-
-#: Cold wall-clock speedup merged batch solving must reach over cold
-#: per-query analyzers on the 50-query workload (the same baseline
-#: ``api-batch`` has always measured: a fresh :class:`StaticAnalyzer` per
-#: query, so repeats re-solve).  Only enforced in full mode — ``--quick``
-#: shrinks the workload below timing noise and checks counters only.
-BATCH_REQUIRED_SPEEDUP = 1.5
-
-#: Committed ceiling on solver fixpoints the *merged* audit of the seeded
-#: example stylesheet may run (measured 1: the whole 19-query audit batch is
-#: one compatible group; 2 leaves headroom for one split-and-retry).
-AUDIT_MERGED_MAX_SOLVER_RUNS = 2
-
-#: The merged audit must run at least this many times fewer fixpoints than
-#: per-query mode (measured 19 vs 1; the acceptance floor is 5x).
-AUDIT_MIN_RUN_REDUCTION = 5.0
-
-
-def run_batch(quick: bool = False) -> dict:
-    """Merged-Lean batch fixpoint vs per-query solving, on two workloads.
-
-    Workload 1 — the 50-query ``cli-cache`` JSONL workload: cold per-query
-    analyzers (the ``api-batch`` baseline), one sequential
-    ``batch_fixpoint="off"`` analyzer, and one ``batch_fixpoint="on"``
-    analyzer, with verdicts asserted identical everywhere and witnesses
-    asserted identical between the two modes.  Full mode enforces
-    :data:`BATCH_REQUIRED_SPEEDUP` on merged-vs-cold wall clock.
-
-    Workload 2 — the seeded example stylesheet audited once per mode:
-    findings must be byte-identical, merged solver runs must stay under the
-    committed :data:`AUDIT_MERGED_MAX_SOLVER_RUNS` ceiling and at least
-    :data:`AUDIT_MIN_RUN_REDUCTION` times below per-query mode's runs.
-    The counter guards are deterministic and enforced in both modes.
-    """
-    from repro.xslt import audit_stylesheet
-
-    requests = cli_cache_workload(repeats=2 if quick else 5)
-    queries = [
-        wire.query_from_dict({k: v for k, v in r.items() if k != "id"})
-        for r in requests
-    ]
-
-    cold_started = time.perf_counter()
-    cold_outcomes = [StaticAnalyzer().solve(query) for query in queries]
-    cold_seconds = time.perf_counter() - cold_started
-
-    off_started = time.perf_counter()
-    off_report = StaticAnalyzer(batch_fixpoint="off").solve_many(queries)
-    off_seconds = time.perf_counter() - off_started
-
-    on_started = time.perf_counter()
-    on_report = StaticAnalyzer(batch_fixpoint="on").solve_many(queries)
-    on_seconds = time.perf_counter() - on_started
-
-    for position, (cold, off, on) in enumerate(
-        zip(cold_outcomes, off_report.outcomes, on_report.outcomes)
-    ):
-        if not (cold.holds == off.holds == on.holds):
-            raise RuntimeError(
-                f"merged batch changed the verdict of query {position} "
-                f"({cold.problem})"
-            )
-        if off.counterexample != on.counterexample:
-            raise RuntimeError(
-                f"merged batch changed the witness of query {position} "
-                f"({off.problem})"
-            )
-    speedup = cold_seconds / on_seconds
-    if not quick and speedup < BATCH_REQUIRED_SPEEDUP:
-        raise RuntimeError(
-            f"performance regression: merged batch speedup over cold "
-            f"per-query analyzers {speedup:.3f} < {BATCH_REQUIRED_SPEEDUP}"
-        )
-
-    stylesheet, schema = AUDIT_FULL_CASE
-    path = _repo_example(stylesheet)
-
-    audit_off_started = time.perf_counter()
-    audit_off = audit_stylesheet(
-        path, schema, analyzer=StaticAnalyzer(), batch_fixpoint="off"
-    )
-    audit_off_seconds = time.perf_counter() - audit_off_started
-
-    audit_on_started = time.perf_counter()
-    audit_on = audit_stylesheet(
-        path, schema, analyzer=StaticAnalyzer(), batch_fixpoint="on"
-    )
-    audit_on_seconds = time.perf_counter() - audit_on_started
-
-    findings_off = json.dumps([f.as_dict() for f in audit_off.findings])
-    findings_on = json.dumps([f.as_dict() for f in audit_on.findings])
-    if findings_off != findings_on:
-        raise RuntimeError("merged audit changed the findings")
-    if audit_on.solver_runs > AUDIT_MERGED_MAX_SOLVER_RUNS:
-        raise RuntimeError(
-            f"performance regression: merged audit ran "
-            f"{audit_on.solver_runs} fixpoints > ceiling "
-            f"{AUDIT_MERGED_MAX_SOLVER_RUNS}"
-        )
-    run_reduction = audit_off.solver_runs / max(1, audit_on.solver_runs)
-    if run_reduction < AUDIT_MIN_RUN_REDUCTION:
-        raise RuntimeError(
-            f"performance regression: merged audit runs only "
-            f"{run_reduction:.1f}x fewer fixpoints than per-query mode "
-            f"(< {AUDIT_MIN_RUN_REDUCTION}x)"
-        )
-
-    return {
-        "benchmark": "merged-Lean batch fixpoint vs per-query solving",
-        "quick": quick,
-        "workload": {
-            "queries": len(queries),
-            "distinct_problems": len(_CLI_CACHE_BASE),
-            "cold_per_query_seconds": round(cold_seconds, 6),
-            "sequential_off_seconds": round(off_seconds, 6),
-            "merged_on_seconds": round(on_seconds, 6),
-            "speedup_vs_cold": round(speedup, 3),
-            "speedup_vs_sequential_off": round(off_seconds / on_seconds, 3),
-            "required_speedup": BATCH_REQUIRED_SPEEDUP,
-            "off_solver_runs": off_report.solver_runs,
-            "on_solver_runs": on_report.solver_runs,
-            "merged_groups": on_report.merged_groups,
-            "merged_queries": on_report.merged_queries,
-            "verdicts_identical": True,
-            "witnesses_identical": True,
-            "note": (
-                "cold per-query analyzers are the api-batch baseline (one "
-                "fresh analyzer per query, repeats re-solve); the "
-                "sequential_off column shows the same warm analyzer without "
-                "merging — merging trades a modest shared-arena overhead on "
-                "small disjoint batches for one fixpoint per group"
-            ),
-        },
-        "audit": {
-            "stylesheet": stylesheet,
-            "schema": schema,
-            "findings": audit_on.counts(),
-            "findings_identical": True,
-            "off_solver_runs": audit_off.solver_runs,
-            "on_solver_runs": audit_on.solver_runs,
-            "run_reduction": round(run_reduction, 1),
-            "min_run_reduction": AUDIT_MIN_RUN_REDUCTION,
-            "merged_max_solver_runs": AUDIT_MERGED_MAX_SOLVER_RUNS,
-            "off_wall_seconds": round(audit_off_seconds, 6),
-            "on_wall_seconds": round(audit_on_seconds, 6),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # CLI entry
 # ---------------------------------------------------------------------------
 
@@ -802,14 +571,12 @@ _RUNNERS = {
     "api-batch": run_api_batch,
     "cli-cache": run_cli_cache,
     "scaling": run_scaling,
-    "frontier": run_frontier,
     "backend": run_backend,
     "audit": run_audit,
-    "batch": run_batch,
 }
 
 #: Benchmarks that understand the ``--quick`` smoke mode.
-_QUICK_AWARE = {"scaling", "frontier", "backend", "audit", "batch"}
+_QUICK_AWARE = {"scaling", "backend", "audit"}
 
 #: Benchmarks whose multiprocess sections honour ``--workers``.
 _WORKERS_AWARE = {"api-batch"}
@@ -841,9 +608,7 @@ def run(args) -> int:
         except RuntimeError as exc:
             print(f"repro bench: {name}: {exc}", file=sys.stderr)
             return 1
-        path = output_dir / _REPORT_NAMES.get(
-            name, f"BENCH_{name.replace('-', '_')}.json"
-        )
+        path = output_dir / f"BENCH_{name.replace('-', '_')}.json"
         path.write_text(
             json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )

@@ -48,19 +48,6 @@ def _add_cache_dir_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_fixpoint_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-fixpoint",
-        choices=("on", "off", "auto"),
-        default=None,
-        help="merged-Lean batch solving: compile compatible queries of a batch "
-        "into one shared Lean and decide them in a single fixpoint (on), solve "
-        "each query separately (off, the default), or merge only in-process "
-        "multi-query batches (auto); verdicts and witnesses are identical "
-        "either way",
-    )
-
-
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
@@ -173,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_dir_option(analyze)
     _add_backend_option(analyze)
-    _add_batch_fixpoint_option(analyze)
     _add_budget_options(analyze)
 
     audit = subparsers.add_parser(
@@ -218,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_dir_option(audit)
     _add_backend_option(audit)
-    _add_batch_fixpoint_option(audit)
     _add_budget_options(audit)
 
     serve = subparsers.add_parser(
@@ -237,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_dir_option(serve)
     _add_backend_option(serve)
-    _add_batch_fixpoint_option(serve)
     _add_budget_options(serve)
 
     schemas = subparsers.add_parser(
@@ -257,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
         "names",
         nargs="*",
         metavar="NAME",
-        help="benchmarks to run: api-batch, cli-cache, scaling, frontier, "
-        "backend, audit, batch (default: all)",
+        help="benchmarks to run: api-batch, cli-cache, scaling, backend, audit "
+        "(default: all)",
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="smoke mode: scaling/frontier run depths 1-3 only, and the run "
+        help="smoke mode: scaling runs depths 1-3 only, and the run "
         "fails if the depth-3 product_calls counter regresses above the "
         "committed threshold",
     )
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fuzzing against bounded explicit oracles",
         description="Generate random DTD/XPath decision problems, solve each "
-        "with pruning on/off x frontier deltas on/off, and cross-check every "
+        "with pruning on/off on every selected BDD backend, and cross-check every "
         "verdict against bounded enumeration, the psi-type solver, and "
         "witness replay. Prints a JSON campaign report; exit code 1 means a "
         "disagreement was found (and shrunk into the corpus directory).",

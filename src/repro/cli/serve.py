@@ -117,7 +117,6 @@ def serve(
     backend: str | None = None,
     budget: "object | None" = None,
     degrade: bool = False,
-    batch_fixpoint: str = "off",
 ) -> int:
     """Run the request/response loop until end-of-input; returns exit code 0.
 
@@ -133,7 +132,6 @@ def serve(
         backend=backend,
         budget=budget,
         degrade=degrade,
-        batch_fixpoint=batch_fixpoint,
     )
     if workers > 1:
         return _serve_parallel(input_stream, output_stream, analyzer, workers)
@@ -372,5 +370,4 @@ def run(args) -> int:
         backend=getattr(args, "backend", None),
         budget=budget_from_args(args),
         degrade=getattr(args, "degrade", False),
-        batch_fixpoint=getattr(args, "batch_fixpoint", None) or "off",
     )

@@ -160,41 +160,6 @@ def closure_alphabet(closure: set[sx.Formula]) -> tuple[set[str], set[str]]:
     return labels, attributes
 
 
-def union_lean(
-    formulas: tuple[sx.Formula, ...], extra_labels: tuple[str, ...] = ()
-) -> Lean:
-    """The Lean of a *group* of formulas: ``Lean(ψ₁ ∨ ... ∨ ψₙ)``.
-
-    The Fisher–Ladner closure of a disjunction is the union of the operands'
-    closures (plus the disjunction spine itself, which contributes no Lean
-    entry — only modal formulas and atomic propositions get bits), so the
-    Lean of the ``∨``-chain *is* the merged Lean of the group: every
-    subformula shared between two goals — in practice most of a schema's
-    type translation — gets exactly one bit.  This is the shared abstraction
-    the merged-Lean batch solver decides all goals against in one fixpoint.
-
-    A formula that negates the "any other label" proposition (pruned type
-    translations do) changes meaning when foreign labels join the alphabet,
-    so a consumer of the merged Lean must pin each operand's own alphabet
-    back down — the merged solver does, by restricting every goal's
-    exactly-one-label constraint to the labels of that goal's closure and
-    leaving the foreign labels entirely unmentioned (don't-care cylinders;
-    see :meth:`repro.solver.relations.LeanEncoding.types_constraint`).
-    One observable subtlety remains: merging can reorder the shared bits
-    (labels are sorted, so a sibling goal pulling ``#other`` into the union
-    closure shifts every level), which would change which of several valid
-    witnesses a default lex-min BDD pick decodes — model reconstruction
-    therefore pins its picks to each goal's own per-query Lean order
-    (:func:`repro.solver.models._pick`).
-    """
-    if not formulas:
-        raise ValueError("union_lean needs at least one formula")
-    merged = formulas[0]
-    for formula in formulas[1:]:
-        merged = sx.mk_or(merged, formula)
-    return lean(merged, extra_labels=extra_labels)
-
-
 def lean(formula: sx.Formula, extra_labels: tuple[str, ...] = ()) -> Lean:
     """Compute ``Lean(ψ)`` together with its bit-vector ordering.
 

@@ -16,7 +16,6 @@ can decode back to unranked XML syntax via
 from __future__ import annotations
 
 from repro.bdd.manager import BDD
-from repro.logic import syntax as sx
 from repro.logic.closure import OTHER_ATTRIBUTE, OTHER_LABEL
 from repro.solver.relations import LeanEncoding, TransitionRelation
 from repro.trees.binary import BinTree
@@ -42,39 +41,6 @@ def _bits_from_assignment(encoding: LeanEncoding, assignment: dict[str, bool]) -
     return bits
 
 
-def _pick(candidates: BDD, pick_order: tuple[str, ...] | None) -> dict[str, bool] | None:
-    """One satisfying assignment, deterministically.
-
-    Without ``pick_order`` this is the manager's top-down walk, which yields
-    the lexicographically smallest assignment (False < True) with respect to
-    the manager's *variable order*.  A merged-Lean batch solve decides a goal
-    inside a shared encoding whose variable order differs from the goal's own
-    per-query Lean — e.g. a sibling goal's closure can pull ``#other`` ahead
-    of the concrete labels — so the same set of proved types would walk to a
-    different (equally valid) witness.  ``pick_order`` pins the tie-break: the
-    minimum is taken variable by variable in the *given* order, which callers
-    set to the goal's per-query Lean order so merged and per-query solves
-    decode byte-identical witnesses.  Variables outside the order (foreign
-    goals' bits — never in the support of this goal's sets) default to False,
-    exactly as the walk leaves unmentioned variables.
-    """
-    if pick_order is None:
-        return candidates.pick_assignment()
-    if candidates.is_false:
-        return None
-    assignment: dict[str, bool] = {}
-    current = candidates
-    for name in pick_order:
-        low = current.cofactor(name, False)
-        if low.is_false:
-            assignment[name] = True
-            current = current.cofactor(name, True)
-        else:
-            assignment[name] = False
-            current = low
-    return assignment
-
-
 def _label_of(encoding: LeanEncoding, bits: dict[int, bool]) -> str:
     for label in encoding.lean.propositions:
         if bits.get(encoding.lean.proposition_index(label), False):
@@ -96,7 +62,6 @@ def reconstruct_counterexample(
     relations: dict[int, TransitionRelation],
     snapshots: list[tuple[BDD, BDD]],
     success: BDD,
-    pick_order: tuple[str, ...] | None = None,
 ) -> BinTree:
     """Build a satisfying binary tree from the solver's intermediate sets.
 
@@ -104,19 +69,15 @@ def reconstruct_counterexample(
     were computed; ``success`` is the non-empty set of admissible (marked)
     root types.  The root is taken from ``success`` and children are searched
     in the earliest snapshot that contains a compatible witness, which keeps
-    the model depth minimal (Section 7.2).  ``pick_order`` pins every type
-    pick to an explicit variable order (see :func:`_pick`) — the merged batch
-    solver passes each goal's per-query Lean order so witnesses stay
-    byte-identical to a stand-alone solve.
+    the model depth minimal (Section 7.2).  Every type is picked by the
+    manager's top-down walk, the lexicographically smallest assignment
+    (False < True) in the variable order, so witnesses are deterministic.
     """
-    root_assignment = _pick(success, pick_order)
+    root_assignment = success.pick_assignment()
     if root_assignment is None:
         raise ValueError("reconstruction called on an empty success set")
     root_bits = _bits_from_assignment(encoding, root_assignment)
-    return _build_node(
-        encoding, relations, snapshots, root_bits, carries_mark=True,
-        pick_order=pick_order,
-    )
+    return _build_node(encoding, relations, snapshots, root_bits, carries_mark=True)
 
 
 def _build_node(
@@ -125,7 +86,6 @@ def _build_node(
     snapshots: list[tuple[BDD, BDD]],
     bits: dict[int, bool],
     carries_mark: bool,
-    pick_order: tuple[str, ...] | None = None,
 ) -> BinTree:
     lean = encoding.lean
     marked_here = bool(bits.get(lean.start_index, False)) and carries_mark
@@ -136,9 +96,7 @@ def _build_node(
     mark_branch = 0
     found: dict[tuple[int, bool], dict[int, bool]] = {}
     if carries_mark and not marked_here:
-        mark_branch, found = _choose_mark_branch(
-            encoding, relations, snapshots, bits, pick_order
-        )
+        mark_branch, found = _choose_mark_branch(encoding, relations, snapshots, bits)
 
     for program in (1, 2):
         needs_child = bits.get(encoding.top_index(program), False)
@@ -148,12 +106,10 @@ def _build_node(
         child_bits = found.get((program, want_marked))
         if child_bits is None:
             child_bits = _find_child(
-                encoding, relations[program], snapshots, bits, want_marked,
-                pick_order,
+                encoding, relations[program], snapshots, bits, want_marked
             )
         children[program] = _build_node(
-            encoding, relations, snapshots, child_bits, carries_mark=want_marked,
-            pick_order=pick_order,
+            encoding, relations, snapshots, child_bits, carries_mark=want_marked
         )
 
     return BinTree(
@@ -170,7 +126,6 @@ def _choose_mark_branch(
     relations: dict[int, TransitionRelation],
     snapshots: list[tuple[BDD, BDD]],
     bits: dict[int, bool],
-    pick_order: tuple[str, ...] | None = None,
 ) -> tuple[int, dict[tuple[int, bool], dict[int, bool]]]:
     """Pick the branch (1 or 2) through which the start mark is provable.
 
@@ -193,8 +148,7 @@ def _choose_mark_branch(
         key = (program, want_marked)
         if key not in found:
             witness = _search_child(
-                encoding, relations[program], snapshots, bits, want_marked,
-                pick_order,
+                encoding, relations[program], snapshots, bits, want_marked
             )
             if witness is None:
                 return None
@@ -223,14 +177,13 @@ def _search_child(
     snapshots: list[tuple[BDD, BDD]],
     bits: dict[int, bool],
     want_marked: bool,
-    pick_order: tuple[str, ...] | None = None,
 ) -> dict[int, bool] | None:
     """A compatible (un)marked witness from the earliest snapshot, or ``None``."""
     parts = relation.child_constraint_parts(bits)
     for unmarked, marked in snapshots:
         candidates = _intersect_all(marked if want_marked else unmarked, parts)
         if not candidates.is_false:
-            assignment = _pick(candidates, pick_order)
+            assignment = candidates.pick_assignment()
             assert assignment is not None
             return _bits_from_assignment(encoding, assignment)
     return None
@@ -242,11 +195,8 @@ def _find_child(
     snapshots: list[tuple[BDD, BDD]],
     bits: dict[int, bool],
     want_marked: bool,
-    pick_order: tuple[str, ...] | None = None,
 ) -> dict[int, bool]:
-    child_bits = _search_child(
-        encoding, relation, snapshots, bits, want_marked, pick_order
-    )
+    child_bits = _search_child(encoding, relation, snapshots, bits, want_marked)
     if child_bits is None:
         raise ValueError(
             "inconsistent solver state: a proved type has no witness in any "

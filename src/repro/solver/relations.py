@@ -6,7 +6,7 @@ vector ``x`` for the types being added and the primed vector ``y`` for their
 candidate witnesses.  The relation ``∆ₐ(x, y)`` is a conjunction of
 equivalences — one per modal Lean formula for programs ``a`` and ``ā`` — and
 is never built as a single BDD: following Section 7.3 it is kept as a list of
-partitions that are conjoined with the frontier one at a time while
+partitions that are conjoined with the product's operand one at a time while
 quantifying out primed variables as early as possible.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.bdd.backends import create_manager
 from repro.bdd.manager import BDD
-from repro.bdd.ordering import cone_of_influence, interleaved_pairs
+from repro.bdd.ordering import cone_of_influence
 from repro.bdd.protocol import BDDBackend
 from repro.logic import syntax as sx
 from repro.logic.closure import Lean
@@ -97,10 +97,8 @@ class LeanEncoding:
     def root_filter(self, formula: sx.Formula, primed: bool = False) -> BDD:
         """Root types satisfying ``formula``: no pending backward modality.
 
-        This is the final check of the fixpoint loop — ``¬ischild₁ ∧
-        ¬ischild₂ ∧ statusᵩ`` — shared between the single-query solver and
-        the merged batch solver, where one such filter per goal bit reads
-        each query's verdict out of the one shared proved set.
+        This is the final check of the fixpoint loop: ``¬ischild₁ ∧
+        ¬ischild₂ ∧ statusᵩ``.
         """
         return (
             ~self.ischild(1, primed)
@@ -167,40 +165,13 @@ class LeanEncoding:
 
     # -- the characteristic function of Types(ψ) ------------------------------------------
 
-    def types_constraint(
-        self,
-        primed: bool = False,
-        modal_indices: frozenset[int] | None = None,
-        labels: frozenset[str] | None = None,
-    ) -> BDD:
-        """χ_Types: modal consistency, first/second child exclusion, one label.
-
-        ``modal_indices`` restricts the modal-consistency conjuncts to a
-        subset of the Lean's modal bits — the merged batch solver passes each
-        goal's cone so a goal's proved sets never constrain (or even mention)
-        another goal's bits.
-
-        ``labels`` restricts the exactly-one-label constraint to a subset of
-        the Lean's propositions; the rest are simply never mentioned.  A
-        goal solved against a merged Lean keeps its own pruned alphabet this
-        way: nothing in the goal's fixpoint (this constraint, its partition
-        views, its root filter) touches a foreign label bit, so its proved
-        sets stay cylinders over those bits — node-for-node the BDDs its own
-        per-query Lean would produce (pruned type translations read "any
-        other label" through the shared ``#other`` proposition, whose
-        meaning foreign labels must not dilute).  The sets being equal does
-        not make the *decoded* witness equal, though: merging can reorder
-        the shared variables, so reconstruction additionally pins its picks
-        to the goal's per-query Lean order
-        (:func:`repro.solver.models._pick`).
-        """
+    def types_constraint(self, primed: bool = False) -> BDD:
+        """χ_Types: modal consistency, first/second child exclusion, one label."""
         manager = self.manager
         constraint = manager.true()
         # Modal consistency: ⟨a⟩ϕ ∈ t implies ⟨a⟩⊤ ∈ t.
         for program, _sub, index in self.lean.modal_items():
             if index == self.top_index(program):
-                continue
-            if modal_indices is not None and index not in modal_indices:
                 continue
             constraint = constraint & self.literal(index, primed).implies(
                 self.literal(self.top_index(program), primed)
@@ -210,11 +181,10 @@ class LeanEncoding:
             self.literal(self.top_index(-1), primed)
             & self.literal(self.top_index(-2), primed)
         )
-        # Exactly one atomic proposition (among the kept labels).
+        # Exactly one atomic proposition.
         label_literals = [
             self.literal(self.lean.proposition_index(label), primed)
             for label in self.lean.propositions
-            if labels is None or label in labels
         ]
         at_least_one = manager.false()
         for literal in label_literals:
@@ -241,7 +211,7 @@ class _ScheduleStep:
     ``block`` is the conjunction of the partitions grouped at this step (built
     once, at relation-construction time) and ``eliminable`` the primed
     variables that no later step mentions, so they can be quantified out as
-    soon as the block has been conjoined with the frontier.
+    soon as the block has been conjoined with the operand.
     ``primed_support`` is the union of the grouped partitions' primed
     supports and ``partition_count`` how many partitions the step bundles —
     both feed the cone-of-influence skipping of :meth:`TransitionRelation.
@@ -253,7 +223,7 @@ class _ScheduleStep:
     primed_support: frozenset[str] = frozenset()
     partition_count: int = 1
     #: Persistent relational-product memo for this step (the block and the
-    #: eliminated variables are fixed, so only the incoming frontier varies);
+    #: eliminated variables are fixed, so only the incoming operand varies);
     #: cleared on garbage collection.
     cache: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -263,7 +233,7 @@ class _Component:
     """A set of schedule steps connected through shared primed variables.
 
     Components are variable-disjoint from one another, so the relational
-    product factorises across them: a component whose variables the frontier
+    product factorises across them: a component whose variables the operand
     never mentions contributes ``∃ vars . ∧ blocks`` — a constant that is
     computed once (lazily, on the first skip opportunity) and, when it is
     ``⊤``, lets the whole component be skipped.
@@ -285,23 +255,14 @@ class TransitionRelation:
     the target's node id, so the fixpoint loop of :mod:`repro.solver.symbolic`
     never recomputes it when a set is unchanged between iterations (or when
     both the guarded and the strict witness of the same set are needed).
+    Each schedule step additionally memoises its own products, so a product
+    over a set that grew only redoes the work below the changed region.
 
-    **Frontier (delta) products.**  The fixpoint sets grow monotonically, and
-    the relational product distributes over union::
-
-        ∃y ((U ∨ δ)(y) ∧ ∆ₐ(x,y))  =  ∃y (U(y) ∧ ∆ₐ) ∨ ∃y (δ(y) ∧ ∆ₐ)
-
-    so a caller that names the *chain* a target belongs to and hands over the
-    delta it grew by (``witness(U, chain="unmarked", delta=δ)`` — the solver
-    computes δ anyway to detect stabilisation) gets an incremental product:
-    only the delta is pushed through the partitions, and the result is
-    disjoined with the chain's previous product.  Late fixpoint iterations
-    therefore touch BDDs proportional to what *changed*, not to the whole
-    proved set.  ``delta_products`` counts the products answered this way and
-    ``partitions_skipped`` the partitions avoided by the cone-of-influence
-    check (a partition component whose primed variables the frontier never
-    mentions, and whose projection is vacuous, cannot affect the product —
-    and every partition of a product against the empty set).
+    ``partitions_skipped`` counts the partitions avoided by the
+    cone-of-influence check (a partition component whose primed variables
+    the operand never mentions, and whose projection is vacuous, cannot
+    affect the product — and every partition of a product against the empty
+    set).
     """
 
     def __init__(
@@ -310,7 +271,6 @@ class TransitionRelation:
         program: int,
         early_quantification: bool = True,
         monolithic: bool = False,
-        modal_indices: frozenset[int] | None = None,
     ):
         if program not in FORWARD_MODALITIES:
             raise ValueError("transition relations are built for programs 1 and 2 only")
@@ -318,12 +278,6 @@ class TransitionRelation:
         self.program = program
         self.early_quantification = early_quantification
         self.monolithic = monolithic
-        # Restriction to one goal's cone of Lean bits: the merged batch
-        # solver keeps its fixpoint state factored per goal, and a goal's
-        # relation view must neither constrain nor quantify bits the goal's
-        # closure never mentions (the missing equivalences would otherwise
-        # force every other goal's ``x_i`` to ``∃y.status``-shaped junk).
-        self.modal_indices = modal_indices
         self.partitions = self._build_partitions()
         self._monolithic_relation: BDD | None = None
         if monolithic:
@@ -345,11 +299,8 @@ class TransitionRelation:
         # *within* an engine, so a bare id could alias a stale entry after a
         # backend switch re-created the encoding in the same process.
         self._product_cache: dict[tuple[str, int], BDD] = {}
-        # chain name -> product of the chain's last target (incremental base).
-        self._chains: dict[str, BDD] = {}
         self.product_calls = 0
         self.product_cache_hits = 0
-        self.delta_products = 0
         self.partitions_skipped = 0
         encoding.manager.add_gc_hook(self._gc_roots, self._gc_remap)
 
@@ -361,7 +312,6 @@ class TransitionRelation:
         if self._monolithic_relation is not None:
             roots.append(self._monolithic_relation.node)
         roots.extend(product.node for product in self._product_cache.values())
-        roots.extend(product.node for product in self._chains.values())
         return roots
 
     def _gc_remap(self, remap: dict[int, int]) -> None:
@@ -386,17 +336,12 @@ class TransitionRelation:
             for (backend, node), product in self._product_cache.items()
             if node in remap
         }
-        self._chains = {
-            chain: wrap(product) for chain, product in self._chains.items()
-        }
 
     def _build_partitions(self) -> list[_Partition]:
         encoding = self.encoding
         partitions: list[_Partition] = []
         for item_program, sub, index in encoding.lean.modal_items():
             if sub is sx.TRUE:
-                continue
-            if self.modal_indices is not None and index not in self.modal_indices:
                 continue
             if item_program == self.program:
                 # x_i  <=>  status_sub(y)
@@ -423,12 +368,12 @@ class TransitionRelation:
         every intermediate before the deeper equivalences are conjoined).
         Against the previous min-total-support choice this measures ~3x
         faster products on the deep-nesting scaling family and slightly
-        faster XHTML rows (see BENCH_scaling.json / BENCH_frontier.json).
-        The order only depends on the partitions, never on the frontier, so
+        faster XHTML rows (see BENCH_scaling.json).
+        The order only depends on the partitions, never on the operand, so
         the grouping of partitions into blocks — and the block conjunctions
         themselves — are computed once here instead of on every relational
         product.  A variable becomes eliminable at the first step after which
-        no later block mentions it; the frontier is pure-primed, so it blocks
+        no later block mentions it; the operand is pure-primed, so it blocks
         nothing.
         """
         level_of = self.encoding.manager.level_of
@@ -497,16 +442,16 @@ class TransitionRelation:
             current = current.exists(leftover)
         return current.is_true
 
-    def _skippable_steps(self, frontier_support: set[str]) -> frozenset[int]:
+    def _skippable_steps(self, operand_support: set[str]) -> frozenset[int]:
         """Schedule steps this product can skip (cone-of-influence check).
 
-        A component is skippable when the frontier mentions none of its
+        A component is skippable when the operand mentions none of its
         variables *and* its projection is vacuous; its blocks then contribute
         the constant ``⊤`` to the factorised product.
         """
         if not self._schedule:
             return frozenset()
-        needed = cone_of_influence(self._step_supports, frontier_support)
+        needed = cone_of_influence(self._step_supports, operand_support)
         if len(needed) == len(self._schedule):
             return frozenset()
         skippable: set[int] = set()
@@ -521,28 +466,28 @@ class TransitionRelation:
 
     # -- relational products -----------------------------------------------------------
 
-    def _product(self, frontier_y: BDD) -> BDD:
-        """``∃ y . frontier(y) ∧ ∆ₐ(x, y)`` with early quantification."""
+    def _product(self, operand_y: BDD) -> BDD:
+        """``∃ y . operand(y) ∧ ∆ₐ(x, y)`` with early quantification."""
         all_primed = set(self.encoding.y_names)
 
         if self.monolithic and self._monolithic_relation is not None:
-            return frontier_y.and_exists(self._monolithic_relation, all_primed)
+            return operand_y.and_exists(self._monolithic_relation, all_primed)
 
         if not self.early_quantification:
-            conjunction = frontier_y
+            conjunction = operand_y
             for partition in self.partitions:
                 conjunction = conjunction & partition.function
             return conjunction.exists(all_primed)
 
-        current = frontier_y
-        frontier_support = set(current.support()) & all_primed
-        # Variables only the frontier mentions can go immediately: no
+        current = operand_y
+        operand_support = set(current.support()) & all_primed
+        # Variables only the operand mentions can go immediately: no
         # partition constrains them.
-        frontier_only = frontier_support - self._partition_primed
-        if frontier_only:
-            current = current.exists(frontier_only)
-        quantified: set[str] = set(frontier_only)
-        skipped = self._skippable_steps(frontier_support)
+        operand_only = operand_support - self._partition_primed
+        if operand_only:
+            current = current.exists(operand_only)
+        quantified: set[str] = set(operand_only)
+        skipped = self._skippable_steps(operand_support)
         for index, step in enumerate(self._schedule):
             if index in skipped:
                 self.partitions_skipped += step.partition_count
@@ -554,24 +499,14 @@ class TransitionRelation:
             current = current.exists(leftover)
         return current
 
-    def _frontier(self, target_x: BDD) -> BDD:
-        """The primed frontier ``target(y) ∧ ischildₐ(y)`` of a product."""
+    def _primed_operand(self, target_x: BDD) -> BDD:
+        """The primed operand ``target(y) ∧ ischildₐ(y)`` of a product."""
         return self.encoding.to_primed(target_x) & self.encoding.ischild(
             self.program, primed=True
         )
 
-    def _witness_product(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
-        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node.
-
-        ``chain`` names the monotonically-growing sequence of sets the target
-        belongs to (the solver's ``"unmarked"``/``"marked"`` chains) and
-        ``delta`` the set the target grew by since the chain's previous
-        product — the caller's invariant is ``target = previous ∨ delta``.
-        When both are given and a previous product exists, only the delta is
-        pushed through the partitions (see the class docstring).
-        """
+    def _witness_product(self, target_x: BDD) -> BDD:
+        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node."""
         manager = self.encoding.manager
         if target_x.manager is not manager:
             raise ValueError(
@@ -582,41 +517,25 @@ class TransitionRelation:
         if target_x.is_false:
             # ∃y (⊥ ∧ ∆ₐ) — nothing to compute, every partition is skipped.
             self.partitions_skipped += len(self.partitions)
-            product = manager.false()
-            if chain is not None:
-                self._chains[chain] = product
-            return product
+            return manager.false()
         cache_key = (manager.backend_name, target_x.node)
         cached = self._product_cache.get(cache_key)
         if cached is not None:
             self.product_cache_hits += 1
-            if chain is not None:
-                self._chains[chain] = cached
             return cached
-        base_product = self._chains.get(chain) if chain is not None else None
         self.product_calls += 1
-        if base_product is not None and delta is not None:
-            self.delta_products += 1
-            product = base_product | self._product(self._frontier(delta))
-        else:
-            product = self._product(self._frontier(target_x))
+        product = self._product(self._primed_operand(target_x))
         self._product_cache[cache_key] = product
-        if chain is not None:
-            self._chains[chain] = product
         return product
 
-    def witness(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
+    def witness(self, target_x: BDD) -> BDD:
         """``Witₐ(target)``: ``isparentₐ(x) → ∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
-        product = self._witness_product(target_x, chain, delta)
+        product = self._witness_product(target_x)
         return self.encoding.isparent(self.program).implies(product)
 
-    def witness_strict(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
+    def witness_strict(self, target_x: BDD) -> BDD:
         """Like :meth:`witness` but the child must exist (mark propagation)."""
-        product = self._witness_product(target_x, chain, delta)
+        product = self._witness_product(target_x)
         return self.encoding.isparent(self.program) & product
 
     def child_constraint_parts(self, parent_bits: dict[int, bool]) -> list[BDD]:
@@ -643,8 +562,6 @@ class TransitionRelation:
         status_parts: list[BDD] = []
         for item_program, sub, index in lean.modal_items():
             if sub is sx.TRUE:
-                continue
-            if self.modal_indices is not None and index not in self.modal_indices:
                 continue
             if item_program == self.program:
                 required = parent_bits.get(index, False)

@@ -2,8 +2,8 @@
 
 Every trial generates one decision problem (:func:`repro.testing.generators.
 gen_case`) and answers it with the symbolic engine under the full ablation
-matrix — cone-of-influence label pruning on/off × frontier delta products
-on/off × one run per configured BDD backend (``FuzzConfig.backends``) — then
+matrix — cone-of-influence label pruning on/off × one run per configured
+BDD backend (``FuzzConfig.backends``) — then
 cross-examines the verdict with the three oracles of
 :mod:`repro.testing.oracle`:
 
@@ -56,14 +56,10 @@ from repro.xmltypes.dtd import DTD
 from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
 
-#: The ablation matrix every trial runs: (prune_labels, frontier).  The
-#: third axis — the BDD backend — comes from ``FuzzConfig.backends``.
-ABLATION_MATRIX = (
-    (False, True),
-    (False, False),
-    (True, True),
-    (True, False),
-)
+#: The pruning axis of the ablation matrix every trial runs (``prune_labels``
+#: off, then on).  The second axis — the BDD backend — comes from
+#: ``FuzzConfig.backends``.
+ABLATION_MATRIX = (False, True)
 
 #: Default backend axis of the ablation matrix (the engine the rest of the
 #: suite exercises by default; pass several names to cross-check engines).
@@ -84,20 +80,14 @@ class FuzzConfig:
     #: Additionally write this many shrunk *agreeing* cases as regression
     #: seeds (spread over kinds and verdicts).
     sample_corpus: int = 0
-    #: BDD engines forming the third ablation axis; every (pruning,
-    #: frontier) cell is solved once per backend and all verdicts must
-    #: agree.  The first entry is the reference engine.
+    #: BDD engines forming the second ablation axis; every pruning cell is
+    #: solved once per backend and all verdicts must agree.  The first entry
+    #: is the reference engine.
     backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS
     #: Also run the resource-governance chaos probes on every solved trial
     #: (seeded budgeted re-solve + injected deadline expiry; see module
     #: docstring).
     chaos: bool = False
-    #: Also run the merged-Lean batch ablation on every solved trial: the
-    #: case (plus one satisfiability probe per expression, so the batch
-    #: really groups) is solved through the analyzer with
-    #: ``batch_fixpoint="on"`` and ``"off"``, and ``holds``/``satisfiable``/
-    #: ``verdict_status`` and the serialised witness must match per query.
-    batch_fixpoint: bool = False
 
     def trial_seeds(self) -> list[int]:
         """The per-trial generator seeds; independent of ``workers``."""
@@ -113,8 +103,8 @@ class TrialOutcome:
     case: FuzzCase
     satisfiable: bool | None = None
     holds: bool | None = None
-    #: Verdicts of the (pruning, frontier, backend) ablation matrix, keyed
-    #: ``"prune=P,frontier=F,backend=B"``.
+    #: Verdicts of the (pruning, backend) ablation matrix, keyed
+    #: ``"prune=P,backend=B"``.
     ablation: dict = field(default_factory=dict)
     disagreements: list[dict] = field(default_factory=list)
     #: Oracle engagement counters for the campaign report.
@@ -133,13 +123,6 @@ class TrialOutcome:
     chaos_max_steps: int = 0
     chaos_budget_reason: str | None = None
     chaos_deadline_injected: bool = False
-    #: Batch-fixpoint axis engagement (``FuzzConfig.batch_fixpoint``): how
-    #: many queries the per-trial batch held and how many solver fixpoints
-    #: each mode ran (merged mode must never run more than per-query mode).
-    batch_checked: bool = False
-    batch_queries: int = 0
-    batch_merged_runs: int = 0
-    batch_per_query_runs: int = 0
     #: The case's Lean exceeded ``bounds.max_lean``; nothing was solved.
     skipped_oversized: bool = False
     lean_size: int = 0
@@ -219,11 +202,10 @@ def evaluate_case(
     index: int = 0,
     backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS,
     chaos: bool = False,
-    batch_fixpoint: bool = False,
 ) -> TrialOutcome:
     """Run one case through the ablation matrix and every oracle.
 
-    ``backends`` is the BDD-engine axis: every (pruning, frontier) cell is
+    ``backends`` is the BDD-engine axis: every pruning cell is
     solved once per listed engine, and a verdict split across engines is a
     disagreement like any other.  ``backends[0]`` is the reference whose
     witness feeds the replay oracle.  With ``chaos`` the resource-governance
@@ -244,35 +226,31 @@ def evaluate_case(
         outcome.seconds = time.perf_counter() - started
         return outcome
 
-    # Symbolic verdicts: pruning on/off x frontier deltas on/off x one run
-    # per BDD backend.  Formulas are hash-consed, so when pruning is a no-op
-    # (untyped case, or every element name already tested) both pruning rows
-    # solve the *same* formula — one solver run per (frontier, backend)
-    # answers both.
+    # Symbolic verdicts: pruning on/off x one run per BDD backend.  Formulas
+    # are hash-consed, so when pruning is a no-op (untyped case, or every
+    # element name already tested) both pruning rows solve the *same*
+    # formula — one solver run per backend answers both.
     results = {}
     solved: dict[tuple, object] = {}
-    for pruned, frontier in ABLATION_MATRIX:
+    for pruned in ABLATION_MATRIX:
         for backend in backends:
-            key = (formulas[pruned], frontier, backend)
+            key = (formulas[pruned], backend)
             if key not in solved:
-                solver = SymbolicSolver(
-                    formulas[pruned], frontier=frontier, backend=backend
-                )
-                solved[key] = solver.solve()
-            results[(pruned, frontier, backend)] = solved[key]
+                solved[key] = SymbolicSolver(formulas[pruned], backend=backend).solve()
+            results[(pruned, backend)] = solved[key]
     outcome.ablation = {
-        f"prune={pruned},frontier={frontier},backend={backend}": result.satisfiable
-        for (pruned, frontier, backend), result in results.items()
+        f"prune={pruned},backend={backend}": result.satisfiable
+        for (pruned, backend), result in results.items()
     }
     verdicts = {result.satisfiable for result in results.values()}
-    reference = results[(False, True, backends[0])]
+    reference = results[(False, backends[0])]
     outcome.satisfiable = reference.satisfiable
     outcome.holds = case.holds(reference.satisfiable)
     if len(verdicts) > 1:
         outcome.disagreements.append(
             {
                 "oracle": "ablation",
-                "detail": "pruning/frontier/backend switches changed the verdict",
+                "detail": "pruning/backend switches changed the verdict",
                 "verdicts": dict(outcome.ablation),
             }
         )
@@ -326,11 +304,6 @@ def evaluate_case(
     # Oracle 4 (chaos axis): resource governance must degrade, never lie.
     if chaos:
         _chaos_check(outcome, formulas[False], reference.satisfiable, backends[0])
-
-    # Oracle 5 (batch axis): merged-Lean batch solving must be invisible.
-    if batch_fixpoint:
-        for backend in backends:
-            _batch_check(outcome, case, dtd, backend)
 
     outcome.seconds = time.perf_counter() - started
     return outcome
@@ -437,87 +410,6 @@ def _chaos_check(
         faults.uninstall()
 
 
-def _case_query(case: FuzzCase, dtd: DTD | None):
-    """The :class:`repro.api.Query` asking the case's own question."""
-    from repro.api import Query
-
-    if case.kind in ("satisfiability", "emptiness"):
-        return getattr(Query, case.kind)(case.exprs[0], dtd)
-    if case.kind == "containment":
-        return Query.containment(case.exprs[0], case.exprs[1], dtd, dtd)
-    if case.kind == "overlap":
-        return Query.overlap(case.exprs[0], case.exprs[1], dtd, dtd)
-    raise AssertionError(f"unknown fuzz kind {case.kind!r}")
-
-
-def _batch_check(
-    outcome: TrialOutcome, case: FuzzCase, dtd: DTD | None, backend: str
-) -> None:
-    """The merged-Lean batch ablation behind ``FuzzConfig.batch_fixpoint``.
-
-    The case's query plus one satisfiability probe per expression (so the
-    batch holds several compatible queries and really merges) is solved
-    twice through fresh analyzers — ``batch_fixpoint="off"`` and ``"on"`` —
-    and the modes must be observationally identical per query: same
-    ``holds``/``satisfiable``/``verdict_status``/``budget_reason``, same
-    structured error, and the *same serialised witness document* (merged
-    goals keep their per-query reductions, so even model reconstruction
-    must not drift).  Merged mode may only ever run fewer fixpoints.
-    """
-    from repro.api import Query, StaticAnalyzer
-
-    queries = [_case_query(case, dtd)] + [
-        Query.satisfiability(text, dtd) for text in case.exprs
-    ]
-    per_query = StaticAnalyzer(backend=backend, batch_fixpoint="off").solve_many(
-        queries
-    )
-    merged = StaticAnalyzer(backend=backend, batch_fixpoint="on").solve_many(queries)
-    outcome.batch_checked = True
-    outcome.batch_queries = len(queries)
-    outcome.batch_per_query_runs += per_query.solver_runs
-    outcome.batch_merged_runs += merged.solver_runs
-    if merged.solver_runs > per_query.solver_runs:
-        outcome.disagreements.append(
-            {
-                "oracle": "batch-fixpoint",
-                "detail": (
-                    f"merged mode ran {merged.solver_runs} fixpoints on "
-                    f"backend {backend}, more than per-query mode's "
-                    f"{per_query.solver_runs}"
-                ),
-            }
-        )
-    for position, (off, on) in enumerate(zip(per_query.outcomes, merged.outcomes)):
-        observed = {
-            field_name: (getattr(off, field_name), getattr(on, field_name))
-            for field_name in (
-                "holds",
-                "satisfiable",
-                "verdict_status",
-                "budget_reason",
-                "error_kind",
-                "counterexample",
-            )
-        }
-        split = {
-            field_name: {"off": values[0], "on": values[1]}
-            for field_name, values in observed.items()
-            if values[0] != values[1]
-        }
-        if split:
-            outcome.disagreements.append(
-                {
-                    "oracle": "batch-fixpoint",
-                    "detail": (
-                        f"batch_fixpoint on/off disagree on query {position} "
-                        f"({queries[position].kind}, backend {backend})"
-                    ),
-                    "fields": split,
-                }
-            )
-
-
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
@@ -567,8 +459,8 @@ class FuzzReport:
             },
             "ablation": {
                 "matrix": [
-                    {"prune_labels": pruned, "frontier": frontier, "backend": backend}
-                    for pruned, frontier in ABLATION_MATRIX
+                    {"prune_labels": pruned, "backend": backend}
+                    for pruned in ABLATION_MATRIX
                     for backend in self.config.backends
                 ],
                 "backends": list(self.config.backends),
@@ -591,16 +483,6 @@ class FuzzReport:
                 "witness_replays": sum(1 for t in trials if t.replay_checked),
                 "witness_replays_skipped": sum(
                     1 for t in trials if t.replay_skipped
-                ),
-            },
-            "batch_fixpoint": {
-                "enabled": self.config.batch_fixpoint,
-                "trials": sum(1 for t in trials if t.batch_checked),
-                "queries": sum(t.batch_queries for t in trials),
-                "merged_runs": sum(t.batch_merged_runs for t in trials),
-                "per_query_runs": sum(t.batch_per_query_runs for t in trials),
-                "identical_verdicts": not any(
-                    d["oracle"] == "batch-fixpoint" for d in self.disagreements
                 ),
             },
             "chaos": {
@@ -634,7 +516,6 @@ def _run_trial(index: int, trial_seed: int, config: FuzzConfig) -> TrialOutcome:
             index=index,
             backends=config.backends,
             chaos=config.chaos,
-            batch_fixpoint=config.batch_fixpoint,
         )
     except Exception as exc:  # noqa: BLE001 - reported, never swallowed
         outcome = TrialOutcome(index=index, case=case)
@@ -683,20 +564,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     return report
 
 
-def _still_disagrees(
-    bounds: Bounds,
-    backends: tuple[str, ...],
-    chaos: bool = False,
-    batch_fixpoint: bool = False,
-):
+def _still_disagrees(bounds: Bounds, backends: tuple[str, ...], chaos: bool = False):
     def predicate(candidate: FuzzCase) -> bool:
-        outcome = evaluate_case(
-            candidate,
-            bounds,
-            backends=backends,
-            chaos=chaos,
-            batch_fixpoint=batch_fixpoint,
-        )
+        outcome = evaluate_case(candidate, bounds, backends=backends, chaos=chaos)
         return bool(outcome.disagreements)
 
     return predicate
@@ -709,9 +579,7 @@ def _write_disagreements(report: FuzzReport, config: FuzzConfig) -> None:
             continue
         shrunk = shrink_case(
             trial.case,
-            _still_disagrees(
-                config.bounds, config.backends, config.chaos, config.batch_fixpoint
-            ),
+            _still_disagrees(config.bounds, config.backends, config.chaos),
         )
         disagreement = dict(trial.disagreements[0])
         disagreement.setdefault("backends", list(config.backends))

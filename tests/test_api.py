@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import Analyzer
 from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer, solve_many
+from repro.xmltypes.dtd import parse_dtd
 
 #: The fast Table 2 decision problems (Figure 21 queries; the SMIL and XHTML
 #: rows are exercised by the slow integration suite instead).
@@ -140,6 +141,32 @@ def test_type_translation_cache_is_shared_across_queries():
     assert stats["query_cache_entries"] == 2
     analyzer.clear_caches()
     assert analyzer.cache_statistics()["solve_cache_entries"] == 0
+
+
+def test_witness_never_decorates_undeclared_elements_with_attributes():
+    """Regression (fuzz seed 7, trial 154): ``attribute_constraints`` only
+    constrained *declared* elements, so an element a content model references
+    without declaring (valid only as an empty node) could carry an attribute
+    in a witness — which ``membership.dtd_attribute_violations`` rejects.
+    Referenced-but-undeclared elements now get the same ``¬@a`` pins as an
+    attribute-free declaration."""
+    dtd = parse_dtd("<!ELEMENT b (a)>", root="b")
+    outcome = StaticAnalyzer().solve(
+        Query.containment("parent::a/descendant::*", "desc-or-self::a/@p", dtd, dtd)
+    )
+    assert outcome.holds is False
+    assert outcome.counterexample is not None
+    assert 'p="' not in outcome.counterexample
+
+
+def test_analyzer_rejects_removed_batch_fixpoint_modes():
+    # "off" is still accepted (and ignored) for existing callers.
+    assert StaticAnalyzer(batch_fixpoint="off").solve(
+        Query.containment("child::a[b]", "child::a")
+    ).holds
+    for mode in ("on", "auto"):
+        with pytest.raises(ValueError, match="merged-Lean batch solving was removed"):
+            StaticAnalyzer(batch_fixpoint=mode)
 
 
 def test_outcome_time_ms_matches_seconds():
@@ -286,3 +313,39 @@ def test_solve_many_workers_share_the_disk_cache(tmp_path):
     assert replay.solver_runs == 0
     assert replay.disk_cache_hits == 2
     assert [o.holds for o in replay.outcomes] == [o.holds for o in report.outcomes]
+
+
+def test_parallel_batch_counters_equal_sequential(tmp_path):
+    """``_solve_many_parallel`` must report the *same* ``solver_runs``/
+    ``cache_hits``/``disk_cache_hits`` as a sequential pass over the identical
+    batch — including the satisfiability/emptiness satclass fold and the
+    equivalence decomposition."""
+    queries = [
+        Query.satisfiability("child::a[b]"),
+        Query.emptiness("child::a[b]"),  # same satclass: no second solve
+        Query.containment("a/b", "a//b"),
+        Query.equivalence("a//b", "a//b[c] | a//b[not(c)]"),
+        Query.containment("a/b", "a//b"),  # duplicate
+    ]
+    cache_dir = str(tmp_path / "solve-cache")
+    StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
+
+    sequential = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
+    parallel = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=2)
+
+    def observed(outcome) -> tuple:
+        return (
+            outcome.holds,
+            outcome.satisfiable,
+            outcome.verdict_status,
+            outcome.budget_reason,
+            outcome.error_kind,
+            outcome.counterexample,
+        )
+
+    assert [observed(o) for o in parallel.outcomes] == [
+        observed(o) for o in sequential.outcomes
+    ]
+    assert parallel.solver_runs == sequential.solver_runs
+    assert parallel.cache_hits == sequential.cache_hits
+    assert parallel.disk_cache_hits == sequential.disk_cache_hits

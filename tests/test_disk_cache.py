@@ -14,6 +14,7 @@ from repro.cache import (
     solve_cache_key,
 )
 from repro.logic import syntax as sx
+from repro.solver.governor import Budget
 from repro.logic.parser import parse_formula
 
 
@@ -104,6 +105,35 @@ def test_corrupt_entries_are_misses(tmp_path):
     assert cache.get(formula) is None
 
 
+def test_cache_format_version_is_bumped():
+    assert CACHE_FORMAT_VERSION == 2
+
+
+def test_v1_entries_are_clean_misses(tmp_path):
+    """Old-format entries live under ``v1/`` (never read) or carry
+    ``version: 1`` (well-formed mismatch): both are plain misses — no
+    quarantine, no deletion — and the next solve republishes under v2."""
+    formula = sx.prop("a")
+    cache = DiskSolveCache(tmp_path)
+    v1_file = tmp_path / "v1" / "ab" / "abcdef.json"
+    v1_file.parent.mkdir(parents=True)
+    v1_file.write_text(json.dumps({"version": 1, "satisfiable": True}))
+    # A v1 payload parked at the entry's v2 path: versioned miss, kept as-is.
+    stale = cache.path_for_key(cache.key_for(formula))
+    stale.parent.mkdir(parents=True, exist_ok=True)
+    stale.write_text(json.dumps({"version": 1, "key": cache.key_for(formula)}))
+
+    assert cache.get(formula) is None
+    assert v1_file.exists() and stale.exists()
+    assert not list(tmp_path.rglob("*.corrupt"))
+
+    record = SolveRecord(
+        satisfiable=True, counterexample="<a/>", statistics={}, solve_seconds=0.1
+    )
+    cache.put(formula, record)
+    assert cache.get(formula) == record
+
+
 def test_clear_removes_entries(tmp_path):
     cache = DiskSolveCache(tmp_path)
     cache.put(parse_formula("a"), SolveRecord(True, None, {}, 0.0))
@@ -138,6 +168,44 @@ def test_second_analyzer_answers_from_disk(tmp_path):
     again = second.solve(QUERY)
     assert again.cache == "memory"
     assert second.disk_cache_hits == 1
+
+
+def test_equivalence_replayed_from_cache_reports_its_layer(tmp_path):
+    holding = Query.equivalence("a/b//c/foll-sibling::d/e", "a/b//d[prec-sibling::c]/e")
+    refuted = Query.equivalence("child::a", "child::a[b]")
+    first = StaticAnalyzer(cache_dir=tmp_path)
+    for query in (holding, refuted):
+        outcome = first.solve(query)
+        assert outcome.cache is None and not outcome.from_cache
+
+    # A fresh analyzer over the filled directory: both directions from disk.
+    second = StaticAnalyzer(cache_dir=tmp_path)
+    replayed = second.solve(holding)
+    assert second.solver_runs == 0
+    assert [part.cache for part in replayed.parts] == ["disk", "disk"]
+    assert replayed.holds and replayed.from_cache and replayed.cache == "disk"
+
+    # One direction in memory, the other on disk: the slower layer answers.
+    third = StaticAnalyzer(cache_dir=tmp_path)
+    forward, backward = refuted.exprs
+    assert third.solve(Query.containment(forward, backward)).cache == "disk"
+    mixed = third.solve(refuted)
+    assert third.solver_runs == 0
+    assert [part.cache for part in mixed.parts] == ["memory", "disk"]
+    assert not mixed.holds and mixed.from_cache and mixed.cache == "disk"
+
+    # Fully from memory.
+    again = third.solve(refuted)
+    assert again.cache == "memory" and again.counterexample == mixed.counterexample
+
+    # Refuted from disk while the other direction runs out of budget: the
+    # refuting part's layer answers.
+    fourth = StaticAnalyzer(cache_dir=tmp_path)
+    fourth.disk_cache.clear()
+    StaticAnalyzer(cache_dir=tmp_path).solve(Query.containment(forward, backward))
+    partial = fourth.solve(refuted, budget=Budget(max_steps=1))
+    assert [part.verdict_status for part in partial.parts] == ["definite", "unknown"]
+    assert not partial.holds and partial.from_cache and partial.cache == "disk"
 
 
 def test_counterexample_survives_the_disk_round_trip(tmp_path):

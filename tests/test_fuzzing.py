@@ -305,7 +305,7 @@ def test_evaluate_case_agrees_on_known_problems():
         assert not outcome.disagreements, outcome.disagreements
         assert outcome.satisfiable is satisfiable, case.describe()
         assert outcome.holds is holds, case.describe()
-        assert len(outcome.ablation) == 4
+        assert len(outcome.ablation) == 2
 
 
 def test_evaluate_case_backend_axis_multiplies_the_matrix():
@@ -317,12 +317,12 @@ def test_evaluate_case_backend_axis_multiplies_the_matrix():
     outcome = evaluate_case(case, Bounds(max_documents=150), backends=backends)
     assert outcome.error is None
     assert not outcome.disagreements, outcome.disagreements
-    assert len(outcome.ablation) == 4 * len(backends)
+    assert len(outcome.ablation) == 2 * len(backends)
     assert outcome.holds is True
     assert set(outcome.ablation.values()) == {False}
     for name in backends:
         cells = [key for key in outcome.ablation if key.endswith(f"backend={name}")]
-        assert len(cells) == 4, outcome.ablation
+        assert len(cells) == 2, outcome.ablation
 
 
 def test_run_fuzz_records_backends_in_report_and_seeds(tmp_path):
