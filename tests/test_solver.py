@@ -15,10 +15,12 @@ The central properties checked here:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import BudgetExceeded
 from repro.logic import syntax as sx
 from repro.logic.negation import negate
 from repro.logic.semantics import interpret
 from repro.solver.explicit import ExplicitSolver
+from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
 from repro.solver.truth import psi_types, status_on_set
 from repro.logic.closure import lean as compute_lean
@@ -214,6 +216,31 @@ def _containment_formula(depth: int) -> sx.Formula:
         _query_formula(query, None),
         negate(_query_formula(query.replace("[b2]", ""), None)),
     )
+
+
+@pytest.mark.parametrize("satisfiable_case", [True, False])
+def test_fixpoint_stops_at_its_first_decisive_iteration(satisfiable_case):
+    """A satisfiable formula stops at the first iteration whose marked set
+    meets the final filter, an unsatisfiable one at the first iteration that
+    adds nothing: an iteration budget of exactly that many iterations gives
+    the same answer, one fewer trips the budget."""
+    if satisfiable_case:
+        formula = sx.prop("a") & sx.dia(1, sx.prop("b") & sx.dia(1, sx.prop("c")))
+    else:
+        formula = _containment_formula(3)
+    plain = SymbolicSolver(formula).solve()
+    assert plain.satisfiable is satisfiable_case
+    iterations = plain.statistics.iterations
+    assert iterations >= 2
+
+    exact = SymbolicSolver(formula, budget=Budget(max_iterations=iterations)).solve()
+    assert exact.satisfiable is satisfiable_case
+    assert exact.statistics.iterations == iterations
+    assert exact.model == plain.model
+
+    with pytest.raises(BudgetExceeded) as raised:
+        SymbolicSolver(formula, budget=Budget(max_iterations=iterations - 1)).solve()
+    assert raised.value.reason == "iterations"
 
 
 def test_partitions_skipped_counts_empty_set_products():
