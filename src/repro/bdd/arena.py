@@ -53,7 +53,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.bdd.manager import BDD, BDDStatistics
+from repro.bdd.manager import BDD, BDDStatistics, gc_hook_reference, live_gc_hooks
 
 try:  # numpy accelerates the GC sweep only; everything works without it.
     import numpy as _np
@@ -121,13 +121,22 @@ class ArenaBDDManager:
         self._peak_nodes = 0
         self._gc_runs = 0
         self._reclaimed = 0
-        self._gc_hooks: list[
-            tuple[Callable[[], Iterable[int]], Callable[[dict[int, int]], None]]
-        ] = []
+        self._gc_hooks: list[tuple[Callable, Callable]] = []
         self.generation = 0
         self._compile_kernels()
         for name in variables:
             self.add_variable(name)
+
+    def __del__(self) -> None:
+        # The compiled kernels are self-recursive closures: a reference cycle
+        # over the node arrays and caches that only the cyclic collector
+        # frees.  Emptying them lets the node table go with the arena.
+        for table in self._node_tables():
+            table.clear()
+        self.clear_caches()
+
+    def _node_tables(self) -> tuple:
+        return (self._levels, self._lows, self._highs, self._unique)
 
     # -- compiled kernels ----------------------------------------------------
 
@@ -881,7 +890,7 @@ class ArenaBDDManager:
         remap: Callable[[dict[int, int]], None],
     ) -> None:
         """Register a GC participant (same contract as the dict backend)."""
-        self._gc_hooks.append((roots, remap))
+        self._gc_hooks.append((gc_hook_reference(roots), gc_hook_reference(remap)))
 
     def garbage_collect(self, roots: Iterable[int] = ()) -> dict[int, int]:
         """Drop every node not reachable from the roots; renumber the rest.
@@ -889,8 +898,9 @@ class ArenaBDDManager:
         Returns the relocation map old-ref → new-ref for every surviving
         reference in both polarities (clients index it directly).
         """
+        hooks = live_gc_hooks(self._gc_hooks)
         root_refs = {int(node) for node in roots}
-        for provider, _listener in self._gc_hooks:
+        for provider, _listener in hooks:
             root_refs.update(int(node) for node in provider())
 
         marked = bytearray(len(self._levels))
@@ -913,17 +923,21 @@ class ArenaBDDManager:
         before = self.node_count()
         if before > self._peak_nodes:
             self._peak_nodes = before
+        replaced = self._node_tables()
         if _np is not None:
             remap = self._sweep_numpy(marked)
         else:
             remap = self._sweep_python(marked)
+        # The previous kernels still hold the replaced arrays (see __del__).
+        for table in replaced:
+            table.clear()
         self._reclaimed += before - self.node_count()
         self._gc_runs += 1
         self.generation += 1
         self.clear_caches()
         # The arrays were replaced wholesale: rebind the kernels to them.
         self._compile_kernels()
-        for _provider, listener in self._gc_hooks:
+        for _provider, listener in hooks:
             listener(remap)
         return remap
 

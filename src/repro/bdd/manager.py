@@ -29,6 +29,8 @@ boolean formulas of Section 7.
 from __future__ import annotations
 
 import dataclasses
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -67,6 +69,32 @@ class BDDStatistics:
         return dataclasses.asdict(self)
 
 
+def gc_hook_reference(callback: Callable) -> Callable[[], Callable | None]:
+    """How a manager holds one GC-hook callback: a zero-argument dereferencer.
+
+    A bound method is held through :class:`weakref.WeakMethod`.  Its object
+    (an encoding or a transition relation) holds the manager, so a strong
+    reference would turn every finished solve's node table into cyclic
+    garbage that only the cyclic collector frees.  Any other callable is
+    held strongly.
+    """
+    if isinstance(callback, types.MethodType):
+        return weakref.WeakMethod(callback)
+    return lambda: callback
+
+
+def live_gc_hooks(hooks: list[tuple[Callable, Callable]]) -> list[tuple[Callable, Callable]]:
+    """Dereference stored hook pairs; drop (in place) those whose owner died."""
+    live, kept = [], []
+    for pair in hooks:
+        roots, remap = pair[0](), pair[1]()
+        if roots is not None and remap is not None:
+            live.append((roots, remap))
+            kept.append(pair)
+    hooks[:] = kept
+    return live
+
+
 class BDDManager:
     """Owner of the node table and operation caches for one variable order."""
 
@@ -96,10 +124,10 @@ class BDDManager:
         self._peak_nodes = 0
         self._gc_runs = 0
         self._reclaimed = 0
-        # GC participants: (roots provider, remap listener) pairs — see
-        # ``add_gc_hook``.  ``generation`` increments on every collection so
-        # holders of raw node ids can detect staleness.
-        self._gc_hooks: list[tuple[Callable[[], Iterable[int]], Callable[[dict[int, int]], None]]] = []
+        # GC participants: references to (roots provider, remap listener)
+        # pairs — see ``add_gc_hook``.  ``generation`` increments on every
+        # collection so holders of raw node ids can detect staleness.
+        self._gc_hooks: list[tuple[Callable, Callable]] = []
         self.generation = 0
         # Cooperative resource governor (``set_governor``); ``None`` keeps the
         # kernels on their ungoverned fast path (one ``None`` check per frame).
@@ -197,8 +225,11 @@ class BDDManager:
         :class:`repro.solver.relations.TransitionRelation`, the status cache
         of :class:`repro.solver.relations.LeanEncoding` — stay valid when a
         collection runs *during* a solve instead of between workloads.
+
+        Bound methods are held weakly (see :func:`gc_hook_reference`); a
+        participant that has been freed simply stops taking part.
         """
-        self._gc_hooks.append((roots, remap))
+        self._gc_hooks.append((gc_hook_reference(roots), gc_hook_reference(remap)))
 
     def garbage_collect(self, roots: Iterable[int] = ()) -> dict[int, int]:
         """Rebuild the node table keeping only nodes reachable from ``roots``.
@@ -215,9 +246,10 @@ class BDDManager:
         ids and is not registered through :meth:`add_gc_hook` must be
         discarded by the caller.
         """
+        hooks = live_gc_hooks(self._gc_hooks)
         reachable: set[int] = set()
         stack = [root for root in roots]
-        for provider, _remap in self._gc_hooks:
+        for provider, _remap in hooks:
             stack.extend(provider())
         while stack:
             current = stack.pop()
@@ -251,7 +283,7 @@ class BDDManager:
         self._gc_runs += 1
         self._reclaimed += old_count - self.node_count()
         self.generation += 1
-        for _provider, remap_listener in self._gc_hooks:
+        for _provider, remap_listener in hooks:
             remap_listener(remap)
         return remap
 

@@ -35,7 +35,12 @@ Contracts every backend must satisfy (verified for all registered backends by
   is called after the table is rebuilt; ``generation`` increments on every
   collection so holders of raw ids can detect staleness.  The relocation map
   covers every surviving id (terminals included) and ``translate`` raises
-  ``KeyError`` on reclaimed ids.
+  ``KeyError`` on reclaimed ids.  A hook given as a bound method is held
+  weakly (``weakref.WeakMethod``) and skipped once its object has died; any
+  other callable is held strongly.  Participants hold their manager, so
+  strong bound-method hooks would make every finished solve's node table
+  cyclic garbage: a manager must be freed by reference counting alone once
+  its solve is dropped.
 * **Statistics.**  :meth:`statistics` returns a
   :class:`repro.bdd.manager.BDDStatistics`; ``ite_calls`` counts ternary
   *and* fused binary operations including recursive expansions (each backend

@@ -59,6 +59,9 @@ KIND_NU = "nu"
 
 _FIXPOINT_KINDS = (KIND_MU, KIND_NU)
 
+#: The free-variable set shared by every closed formula.
+_NO_FREE: frozenset[str] = frozenset()
+
 
 class Formula:
     """A hash-consed Lµ formula node.
@@ -68,10 +71,14 @@ class Formula:
     formulas are always the *same* object, so ``==`` and ``is`` coincide.
     """
 
-    __slots__ = ("kind", "label", "prog", "left", "right", "defs", "body", "_hash")
+    __slots__ = (
+        "kind", "label", "prog", "left", "right", "defs", "body", "_hash",
+        "free", "expansion",
+    )
 
     def __init__(
         self,
+        hash_value: int,
         kind: str,
         label: str | None = None,
         prog: int | None = None,
@@ -87,17 +94,22 @@ class Formula:
         self.right = right
         self.defs = defs
         self.body = body
-        self._hash = hash(
-            (
-                kind,
-                label,
-                prog,
-                id(left),
-                id(right),
-                None if defs is None else tuple((name, id(f)) for name, f in defs),
-                id(body),
-            )
-        )
+        self._hash = hash_value
+        # Pure per-node facts, computed from the children once per interned
+        # node and so living exactly as long as the intern table.
+        if kind == KIND_VAR:
+            self.free = frozenset((label,))
+        elif defs is not None:
+            free = body.free.union(*(definition.free for _name, definition in defs))
+            self.free = free.difference(name for name, _ in defs) or _NO_FREE
+        elif right is not None and left.free and right.free:
+            self.free = left.free | right.free
+        elif right is not None:
+            self.free = left.free or right.free  # share the one non-empty set
+        else:
+            self.free = _NO_FREE if left is None else left.free
+        #: ``exp(ϕ)`` of a fixpoint node, filled in by :func:`expand_fixpoint`.
+        self.expansion: Formula | None = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -173,7 +185,7 @@ def _intern(
     )
     found = _INTERN.get(key)
     if found is None:
-        found = Formula(kind, label, prog, left, right, defs, body)
+        found = Formula(hash(key), kind, label, prog, left, right, defs, body)
         _INTERN[key] = found
     return found
 
@@ -389,62 +401,41 @@ def uses_attributes(formula: Formula) -> bool:
 
 
 def free_variables(formula: Formula) -> frozenset[str]:
-    """The free recursion variables of a formula."""
-    cache: dict[int, frozenset[str]] = {}
-
-    def go(current: Formula) -> frozenset[str]:
-        cached = cache.get(id(current))
-        if cached is not None:
-            return cached
-        if current.kind == KIND_VAR:
-            result = frozenset({current.label})
-        elif current.is_fixpoint:
-            bound = {name for name, _ in current.defs}
-            inner: set[str] = set()
-            for _name, definition in current.defs:
-                inner |= go(definition)
-            inner |= go(current.body)
-            result = frozenset(inner - bound)
-        else:
-            inner = set()
-            for child in iter_children(current):
-                inner |= go(child)
-            result = frozenset(inner)
-        cache[id(current)] = result
-        return result
-
-    return go(formula)
+    """The free recursion variables of a formula (stored on the node)."""
+    return formula.free
 
 
 def substitute(formula: Formula, mapping: dict[str, Formula]) -> Formula:
     """Capture-avoiding substitution of recursion variables.
 
     Fixpoint binders shadow outer variables of the same name: substitution
-    does not descend for names re-bound by the fixpoint.  The formulas built
+    does not descend for names re-bound by the fixpoint, nor into subtrees
+    in which no mapped name is free.  The formulas built
     by the XPath and type translations always use globally fresh variable
     names, so capture can only arise through deliberately crafted inputs; in
     that case the substitution raises ``ValueError`` rather than silently
     capturing.
     """
-    if not mapping:
+    active_names = formula.free.intersection(mapping)
+    if not active_names:
         return formula
     cache: dict[tuple[int, frozenset[str]], Formula] = {}
 
     def go(current: Formula, active: frozenset[str]) -> Formula:
-        if not active:
+        if active.isdisjoint(current.free):
             return current
         key = (id(current), active)
         cached = cache.get(key)
         if cached is not None:
             return cached
         if current.kind == KIND_VAR:
-            result = mapping[current.label] if current.label in active else current
+            result = mapping[current.label]
         elif current.is_fixpoint:
             bound = frozenset(name for name, _ in current.defs)
             remaining = active - bound
             for name in bound:
                 for active_name in remaining:
-                    if name in free_variables(mapping[active_name]):
+                    if name in mapping[active_name].free:
                         raise ValueError(
                             f"substitution would capture variable {name!r}; "
                             "rename bound variables first"
@@ -460,15 +451,12 @@ def substitute(formula: Formula, mapping: dict[str, Formula]) -> Formula:
                 left=go(current.left, active),
                 right=go(current.right, active),
             )
-        elif current.kind == KIND_DIA:
+        else:  # KIND_DIA: the only other kind with a free variable below it
             result = _intern(KIND_DIA, prog=current.prog, left=go(current.left, active))
-        else:
-            result = current
         cache[key] = result
         return result
 
-    active_names = frozenset(mapping) & (free_variables(formula) | set())
-    return go(formula, frozenset(mapping) if active_names else active_names)
+    return go(formula, active_names)
 
 
 def expand_fixpoint(formula: Formula) -> Formula:
@@ -483,15 +471,18 @@ def expand_fixpoint(formula: Formula) -> Formula:
     for guarded formulas: repeatedly expanding always ends up below a modality
     — which is what the truth-assignment relation of Figure 15 and the
     Fisher–Ladner closure rely on.
+
+    The expansion is computed once per fixpoint node and stored on it.
     """
     if not formula.is_fixpoint:
         raise ValueError("expand_fixpoint expects a fixpoint formula")
-    definitions = dict(formula.defs)
-    mapping = {
-        name: _intern(formula.kind, defs=formula.defs, body=definitions[name])
-        for name, _definition in formula.defs
-    }
-    return substitute(formula.body, mapping)
+    if formula.expansion is None:
+        mapping = {
+            name: _intern(formula.kind, defs=formula.defs, body=definition)
+            for name, definition in formula.defs
+        }
+        formula.expansion = substitute(formula.body, mapping)
+    return formula.expansion
 
 
 def rename_bound_variables(formula: Formula, prefix: str = "R") -> Formula:

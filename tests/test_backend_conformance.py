@@ -13,8 +13,10 @@ from the dict engine's); within one engine they are canonical — equal
 functions must be the same id — and that is tested too.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -185,6 +187,82 @@ def test_gc_preserves_semantics(manager):
     assert brute_force(holder["f"]) == table
     # The engine keeps working after the sweep.
     assert (holder["f"] | ~holder["f"]).is_true
+
+
+def test_gc_skips_hooks_of_freed_participants(manager):
+    class Participant:
+        remaps = 0
+
+        def roots(self):
+            return []
+
+        def remap(self, relocations):
+            Participant.remaps += 1
+
+    alive, dead = Participant(), Participant()
+    manager.add_gc_hook(alive.roots, alive.remap)
+    manager.add_gc_hook(dead.roots, dead.remap)
+    del dead
+    manager.garbage_collect()
+    assert Participant.remaps == 1
+
+
+def test_freed_arena_empties_its_node_arrays():
+    """The arena's kernels are self-recursive closures over its node arrays.
+
+    That cycle only goes with a cyclic collection, so the arena empties
+    the arrays it replaces in a sweep and, when freed, the ones it holds.
+    """
+    from repro.bdd.arena import ArenaBDDManager
+
+    manager = ArenaBDDManager(NAMES)
+    kept = manager.variable("v0") & manager.variable("v1")
+    replaced = manager._node_tables()
+    remap = manager.garbage_collect([kept.node])
+    assert all(len(table) == 0 for table in replaced)
+    assert manager.wrap(manager.translate(remap, kept.node)).evaluate(
+        dict.fromkeys(NAMES, True)
+    )
+    held = manager._node_tables()
+    assert all(len(table) > 0 for table in held[:3])
+    del kept, manager
+    assert all(len(table) == 0 for table in held)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_finished_solve_releases_its_manager(backend, monkeypatch):
+    """A solve's manager is freed by reference counting alone.
+
+    The encoding and the transition relations register bound-method GC
+    hooks on the manager they hold; held strongly, those hooks would make
+    every finished solve's node table cyclic garbage.  ``collect_every=1``
+    also runs collections through the (weakly held) hooks mid-solve.
+    """
+    from repro.logic import syntax as sx
+    from repro.solver import relations
+    from repro.solver.symbolic import SymbolicSolver
+
+    managers = []
+
+    def recording_create_manager(*args, **kwargs):
+        created = create_manager(*args, **kwargs)
+        managers.append(weakref.ref(created))
+        return created
+
+    monkeypatch.setattr(relations, "create_manager", recording_create_manager)
+    formula = sx.mu1(lambda x: sx.prop("b") | sx.dia(1, x)) & sx.START
+    gc.collect()
+    gc.disable()
+    try:
+        solver = SymbolicSolver(formula, backend=backend, collect_every=1)
+        result = solver.solve()
+        assert result.satisfiable
+        assert result.statistics.iterations >= 1  # so at least one collection ran
+        assert len(managers) == 1
+        del solver, result
+        assert managers[0]() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,19 @@
 """Unit tests for the Lµ syntax: hash-consing, constructors, substitution, expansion."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.logic import syntax as sx
+from repro.logic.closure import fisher_ladner_closure
+from repro.logic.negation import negate
+from repro.testing.corpus import load_corpus
+from repro.testing.fuzz import case_formula
+from repro.xmltypes.compile import compile_dtd
+from repro.xmltypes.library import smil_dtd, xhtml_core_dtd
+from repro.xpath.compile import compile_xpath
+
+from test_integration_paper import FIGURE_21
 
 
 def test_hash_consing_makes_equal_formulas_identical():
@@ -113,3 +124,75 @@ def test_operator_overloading_matches_constructors():
     a, b = sx.prop("a"), sx.prop("b")
     assert (a | b) is sx.mk_or(a, b)
     assert (a & b) is sx.mk_and(a, b)
+
+
+def test_substitute_refuses_to_capture_a_variable():
+    # Y occurs under the binder of X, so replacing Y by X would capture it.
+    formula = sx.mu((("X", sx.dia(1, sx.var("X")) | sx.var("Y")),), sx.var("X"))
+    with pytest.raises(ValueError, match="capture"):
+        sx.substitute(formula, {"Y": sx.var("X")})
+
+
+# ---------------------------------------------------------------------------
+# Per-node facts over the committed formulas
+# ---------------------------------------------------------------------------
+
+
+def _committed_formulas() -> list[sx.Formula]:
+    """The fuzz corpus reductions and the Table 2 translations (Figure 21)."""
+    formulas = []
+    for entry in load_corpus(Path(__file__).parent / "corpus"):
+        dtd = entry.case.dtd()
+        formulas.extend(case_formula(entry.case, dtd, pruned) for pruned in (False, True))
+    queries = [compile_xpath(text) for text in FIGURE_21.values()]
+    queries.append(compile_xpath(FIGURE_21[7], compile_dtd(smil_dtd())))
+    queries.append(compile_xpath(FIGURE_21[8], compile_dtd(xhtml_core_dtd())))
+    formulas.extend(queries)
+    formulas.extend(negate(query) for query in queries)
+    return formulas
+
+
+@pytest.fixture(scope="module")
+def committed_subformulas() -> list[sx.Formula]:
+    """Every subformula of the committed formulas and of their closures."""
+    seen: dict[int, sx.Formula] = {}
+    for formula in _committed_formulas():
+        for member in fisher_ladner_closure(formula):
+            for sub in sx.iter_subformulas(member):
+                seen.setdefault(id(sub), sub)
+    return list(seen.values())
+
+
+def _reference_free_variables(formula: sx.Formula, cache: dict) -> frozenset[str]:
+    """Free variables by a plain recursive walk over the syntax tree."""
+    if id(formula) not in cache:
+        if formula.kind == sx.KIND_VAR:
+            result = frozenset({formula.label})
+        else:
+            result = frozenset().union(
+                *(_reference_free_variables(child, cache) for child in sx.iter_children(formula))
+            )
+            if formula.is_fixpoint:
+                result -= {name for name, _ in formula.defs}
+        cache[id(formula)] = result
+    return cache[id(formula)]
+
+
+def test_free_variables_match_a_reference_walk(committed_subformulas):
+    cache: dict = {}
+    assert len(committed_subformulas) > 1000
+    for sub in committed_subformulas:
+        assert sx.free_variables(sub) == _reference_free_variables(sub, cache), sub
+
+
+def test_expansion_is_stored_and_equals_a_fresh_substitution(committed_subformulas):
+    fixpoints = [sub for sub in committed_subformulas if sub.is_fixpoint]
+    assert fixpoints
+    for fixpoint in fixpoints:
+        expanded = sx.expand_fixpoint(fixpoint)
+        assert sx.expand_fixpoint(fixpoint) is expanded
+        mapping = {
+            name: (sx.mu if fixpoint.kind == sx.KIND_MU else sx.nu)(fixpoint.defs, definition)
+            for name, definition in fixpoint.defs
+        }
+        assert sx.substitute(fixpoint.body, mapping) is expanded
