@@ -42,23 +42,20 @@ Garbage collection implements the same hook contract as the dict backend
 (root providers + remap listeners, ``generation`` counter, a relocation dict
 covering every surviving reference in **both** polarities, because clients
 index the remap directly).  The sweep is vectorised with numpy when
-available: mark bits become a boolean mask, the dense renumbering is a
-``cumsum``, child references and unique keys are recomputed array-at-a-time.
-Without numpy a pure-Python sweep produces identical results.  After a sweep
-the kernels are recompiled against the rebuilt arrays.
+available (imported by the first sweep, never at start-up): mark bits become
+a boolean mask, the dense renumbering is a ``cumsum``, child references and
+unique keys are recomputed array-at-a-time.  Without numpy a pure-Python
+sweep produces identical results.  After a sweep the kernels are recompiled
+against the rebuilt arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.bdd.manager import BDD, BDDStatistics, gc_hook_reference, live_gc_hooks
-
-try:  # numpy accelerates the GC sweep only; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _sweep_python tests
-    _np = None
 
 #: Bits reserved for a packed node reference in cache keys.
 REF_BITS = 24
@@ -77,6 +74,20 @@ _CAPACITY_MESSAGE = (
 
 class ArenaCapacityError(RuntimeError):
     """Raised when the arena outgrows its packed 24-bit reference space."""
+
+
+@functools.cache
+def _numpy():
+    """numpy, imported by the first sweep (``None`` when it is not installed).
+
+    numpy only accelerates the GC sweep, so processes that never collect an
+    arena — every dict-backend process among them — never pay its import.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - CI installs numpy
+        return None
+    return numpy
 
 
 class ArenaBDDManager:
@@ -924,8 +935,9 @@ class ArenaBDDManager:
         if before > self._peak_nodes:
             self._peak_nodes = before
         replaced = self._node_tables()
-        if _np is not None:
-            remap = self._sweep_numpy(marked)
+        np = _numpy()
+        if np is not None:
+            remap = self._sweep_numpy(marked, np)
         else:
             remap = self._sweep_python(marked)
         # The previous kernels still hold the replaced arrays (see __del__).
@@ -941,13 +953,13 @@ class ArenaBDDManager:
             listener(remap)
         return remap
 
-    def _sweep_numpy(self, marked: bytearray) -> dict[int, int]:
+    def _sweep_numpy(self, marked: bytearray, np) -> dict[int, int]:
         """Vectorised sweep: renumber via cumsum, recompute keys array-wide."""
-        keep = _np.frombuffer(bytes(marked), dtype=_np.uint8).astype(bool)
-        levels = _np.array(self._levels, dtype=_np.uint64)
-        lows = _np.array(self._lows, dtype=_np.uint64)
-        highs = _np.array(self._highs, dtype=_np.uint64)
-        new_index = _np.cumsum(keep, dtype=_np.uint64) - 1
+        keep = np.frombuffer(bytes(marked), dtype=np.uint8).astype(bool)
+        levels = np.array(self._levels, dtype=np.uint64)
+        lows = np.array(self._lows, dtype=np.uint64)
+        highs = np.array(self._highs, dtype=np.uint64)
+        new_index = np.cumsum(keep, dtype=np.uint64) - 1
         # Children of surviving nodes always survive, so indexing the
         # renumbering with every row is safe (dead rows are filtered next).
         new_lows = (new_index[lows >> 1] << 1) | (lows & 1)
@@ -955,7 +967,7 @@ class ArenaBDDManager:
         kept_levels = levels[keep]
         kept_lows = new_lows[keep]
         kept_highs = new_highs[keep]
-        keys = ((kept_lows << _np.uint64(REF_BITS)) | kept_highs) << _np.uint64(
+        keys = ((kept_lows << np.uint64(REF_BITS)) | kept_highs) << np.uint64(
             LEVEL_BITS
         ) | kept_levels
         self._levels = kept_levels.tolist()
@@ -964,7 +976,7 @@ class ArenaBDDManager:
         self._lows[0] = 0
         self._highs[0] = 0
         self._unique = dict(zip(keys[1:].tolist(), range(1, len(self._levels))))
-        surviving = _np.nonzero(keep)[0]
+        surviving = np.nonzero(keep)[0]
         new_regular = (new_index[surviving] << 1).tolist()
         remap: dict[int, int] = {}
         for old, new in zip((surviving << 1).tolist(), new_regular):

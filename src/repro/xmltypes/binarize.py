@@ -164,11 +164,9 @@ class _Builder:
 def _merge(
     left: tuple[Alternative, ...], right: tuple[Alternative, ...]
 ) -> tuple[Alternative, ...]:
-    merged = list(left)
-    for alternative in right:
-        if alternative not in merged:
-            merged.append(alternative)
-    return tuple(merged)
+    # Both sides are duplicate-free, so an insertion-ordered dict keeps the
+    # list-membership order ("left, then what right adds") in linear time.
+    return tuple(dict.fromkeys(left + right))
 
 
 def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
@@ -189,7 +187,8 @@ def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
         if not any(isinstance(alternative, _Ref) for alternative in raw):
             resolved[name] = raw
             return raw
-        out: list[Alternative] = []
+        # Insertion-ordered: re-adding a key keeps its first position.
+        out: dict[Alternative, None] = {}
         visited: set[str] = set()
 
         def expand(variable: str) -> None:
@@ -199,8 +198,8 @@ def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
             for alternative in resolved.get(variable, grammar.variables[variable]):
                 if isinstance(alternative, _Ref):
                     expand(alternative.variable)
-                elif alternative not in out:
-                    out.append(alternative)
+                else:
+                    out[alternative] = None
 
         expand(name)
         result = tuple(out)

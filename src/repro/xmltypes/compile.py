@@ -261,8 +261,15 @@ def compile_dtd(
     Lean proportionally.  Elements with a non-trivial attribute constraint
     under the ``attributes`` alphabet are never collapsed — the problem can
     still distinguish them through their attributes.
+
+    The binarized grammar is a pure function of the DTD and its root, so it
+    is built on the first call and kept on the DTD for every later one.
     """
-    grammar = binarize_dtd(dtd, root=root)
+    root_element = root if root is not None else dtd.root
+    grammar = dtd._grammars.get(root_element)
+    if grammar is None:
+        # Binarized once per DTD and root; projections below never mutate it.
+        grammar = dtd._grammars[root_element] = binarize_dtd(dtd, root=root)
     constraints = (
         attribute_constraints(dtd, attributes) if attributes is not None else None
     )

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ParseError
 from repro.xmltypes import content as cm
+
+if TYPE_CHECKING:
+    from repro.xmltypes.ast import BinaryTypeGrammar
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,11 @@ class DTD:
     name: str = "dtd"
     #: Attribute declarations per element name, in declaration order.
     attlists: dict[str, tuple[AttributeDeclaration, ...]] = field(default_factory=dict)
+    #: Binarized grammar per root element, filled by ``compile_dtd`` and
+    #: shared by every projection (which only ever reads it or copies it).
+    _grammars: dict[str, "BinaryTypeGrammar"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def element_names(self) -> tuple[str, ...]:
         """Declared element names, in declaration order."""

@@ -15,11 +15,17 @@ functions must be the same id — and that is tested too.
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.bdd import arena
 from repro.bdd.backends import BACKENDS, available_backends, create_manager
 from repro.bdd.protocol import BDDBackend
 
@@ -227,6 +233,49 @@ def test_freed_arena_empties_its_node_arrays():
     assert all(len(table) > 0 for table in held[:3])
     del kept, manager
     assert all(len(table) == 0 for table in held)
+
+
+def test_numpy_and_python_sweeps_agree(monkeypatch):
+    """Both arena sweeps turn the same garbage into the same arena."""
+    numpy = pytest.importorskip("numpy")
+
+    def swept(sweep_numpy):
+        monkeypatch.setattr(arena, "_numpy", lambda: sweep_numpy)
+        manager = arena.ArenaBDDManager(NAMES)
+        v = [manager.variable(name) for name in NAMES]
+        kept = (v[0] & v[1]) | (~v[2] ^ v[3])
+        for i in range(8):
+            _ = (v[i] ^ v[(i + 3) % 8]).ite(v[(i + 5) % 8], ~v[(i + 1) % 8])
+        before = manager.node_count()
+        remap = manager.garbage_collect([kept.node])
+        assert manager.node_count() < before
+        return (
+            remap,
+            manager._levels,
+            manager._lows,
+            manager._highs,
+            manager._unique,
+        )
+
+    assert swept(numpy) == swept(None)
+
+
+def test_importing_the_front_ends_leaves_numpy_unloaded():
+    """numpy is only imported by an arena sweep, never at start-up."""
+    source = Path(repro.__file__).resolve().parents[1]
+    code = (
+        "import sys, repro.api, repro.xslt, repro.cli.main; "
+        "print('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(source))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

@@ -1,13 +1,25 @@
 """Tests for content models, DTD parsing, binarisation and type membership."""
 
+import random
+
 import pytest
 
 from repro.core.errors import ParseError
+from repro.testing.generators import GeneratorConfig, gen_dtd
 from repro.trees.unranked import parse_tree
+from repro.xmltypes import binarize
+from repro.xmltypes import compile as compile_module
 from repro.xmltypes import content as cm
 from repro.xmltypes.ast import BinaryTypeGrammar, EPSILON, LabelAlternative
 from repro.xmltypes.binarize import binarize_dtd
+from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import parse_dtd
+from repro.xmltypes.library import (
+    smil_dtd,
+    wikipedia_dtd,
+    xhtml_core_dtd,
+    xhtml_strict_dtd,
+)
 from repro.xmltypes.membership import dtd_accepts, grammar_accepts
 
 WIKI_DTD = """
@@ -218,3 +230,125 @@ def test_empty_grammar_variable():
     assert grammar.is_empty("X")
     assert not grammar_accepts(grammar, parse_tree("<a/>"))
     assert grammar.alternatives("Epsilon") == (EPSILON,)
+
+
+# -- one linear binarization per schema -----------------------------------------------
+
+
+def _reference_merge(left, right):
+    """The original list-membership merge (quadratic), kept as a reference."""
+    merged = list(left)
+    for alternative in right:
+        if alternative not in merged:
+            merged.append(alternative)
+    return tuple(merged)
+
+
+def _reference_resolve_refs(grammar):
+    """The original list-membership reference resolution, kept as a reference."""
+    resolved = {}
+
+    def resolve(name):
+        done = resolved.get(name)
+        if done is not None:
+            return done
+        raw = grammar.variables[name]
+        if not any(isinstance(alternative, binarize._Ref) for alternative in raw):
+            resolved[name] = raw
+            return raw
+        out = []
+        visited = set()
+
+        def expand(variable):
+            if variable in visited:
+                return
+            visited.add(variable)
+            for alternative in resolved.get(variable, grammar.variables[variable]):
+                if isinstance(alternative, binarize._Ref):
+                    expand(alternative.variable)
+                elif alternative not in out:
+                    out.append(alternative)
+
+        expand(name)
+        resolved[name] = tuple(out)
+        return resolved[name]
+
+    for name in list(grammar.variables):
+        grammar.variables[name] = resolve(name)
+
+
+def _grammar_key(grammar):
+    return grammar.start, grammar.name, list(grammar.variables.items())
+
+
+def test_linear_binarization_matches_the_quadratic_reference(monkeypatch):
+    """Same variables, names, alternative order and start, schema by schema."""
+    dtds = [smil_dtd(), xhtml_strict_dtd(), xhtml_core_dtd(), wikipedia_dtd()]
+    for config in (GeneratorConfig(), GeneratorConfig(max_elements=6, max_content_depth=3)):
+        dtds += [gen_dtd(random.Random(seed), config)[1] for seed in range(1000)]
+    linear = [_grammar_key(binarize_dtd(dtd)) for dtd in dtds]
+    monkeypatch.setattr(binarize, "_merge", _reference_merge)
+    monkeypatch.setattr(binarize, "_resolve_refs", _reference_resolve_refs)
+    reference = [_grammar_key(binarize_dtd(dtd)) for dtd in dtds]
+    for dtd, got, want in zip(dtds, linear, reference):
+        assert got == want, dtd
+
+
+@pytest.fixture
+def binarize_calls(monkeypatch):
+    """Roots passed to the binarizer ``compile_dtd`` calls, one per call."""
+    calls = []
+    real = compile_module.binarize_dtd
+
+    def counting(dtd, root=None):
+        calls.append(root)
+        return real(dtd, root=root)
+
+    monkeypatch.setattr(compile_module, "binarize_dtd", counting)
+    return calls
+
+
+def test_compile_dtd_binarizes_a_schema_once(binarize_calls):
+    dtd = parse_dtd(WIKI_DTD, name="wiki")
+    alphabets = [
+        (None, None),
+        (("edit",), None),
+        (("title", "text"), ("id",)),
+        (("history", "edit", "redirect"), ("id", "lang")),
+        (None, ("lang",)),
+    ]
+    formulas = [
+        compile_dtd(dtd, labels=labels, attributes=attributes)
+        for labels, attributes in alphabets
+    ]
+    assert binarize_calls == [None]
+    # The shared grammar gives the formulas a fresh binarization gives.
+    for (labels, attributes), formula in zip(alphabets, formulas):
+        fresh = parse_dtd(WIKI_DTD, name="wiki")
+        assert compile_dtd(fresh, labels=labels, attributes=attributes) == formula
+    assert dtd == parse_dtd(WIKI_DTD, name="wiki")
+
+
+def test_each_root_and_with_root_copy_get_their_own_grammar(binarize_calls):
+    dtd = parse_dtd(WIKI_DTD, name="wiki")
+    whole = compile_dtd(dtd)
+    meta = compile_dtd(dtd, root="meta")
+    assert compile_dtd(dtd, root="meta") == meta
+    assert meta != whole
+    copy = dtd.with_root("edit")
+    edit = compile_dtd(copy)
+    assert compile_dtd(copy, root="edit") == edit
+    assert edit not in (whole, meta)
+    # The copy's own root is "edit": both calls share its one grammar.
+    assert binarize_calls == [None, "meta", None]
+    assert compile_dtd(dtd) == whole
+
+
+def test_mutating_a_public_grammar_leaves_compile_dtd_alone():
+    expected = compile_dtd(parse_dtd(WIKI_DTD, name="wiki"))
+    dtd = parse_dtd(WIKI_DTD, name="wiki")
+    for _ in range(2):  # before and after compile_dtd has kept a grammar
+        grammar = binarize_dtd(dtd)
+        grammar.variables.clear()
+        grammar.start = BinaryTypeGrammar.EPSILON_VARIABLE
+        assert compile_dtd(dtd) == expected
