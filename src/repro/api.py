@@ -548,7 +548,7 @@ class StaticAnalyzer:
         self.interleaved_order = interleaved_order
         self.track_marks = track_marks
         self.prune_labels = prune_labels
-        #: BDD engine for every solver run (``"dict"``, ``"arena"``, or
+        #: BDD engine for every solver run (``"arena"``, ``"native"``, or
         #: ``None`` to follow ``REPRO_BDD_BACKEND`` / the default).  Verdicts
         #: are backend-independent, so cache layers need no qualification.
         self.backend = backend

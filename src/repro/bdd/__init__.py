@@ -3,7 +3,8 @@
 Section 7 of the paper represents sets of ψ-types implicitly as BDDs [5] and
 implements the satisfiability algorithm entirely with BDD operations.  The
 reference system used a mature BDD library; this package provides an
-equivalent pure-Python engine with the operations the solver needs:
+equivalent engine — in pure Python, and the same engine with its kernels in
+C — with the operations the solver needs:
 
 * hash-consed node table with a fixed variable order,
 * boolean connectives via the ``apply`` / ``ite`` algorithms with memoisation,
@@ -14,9 +15,10 @@ equivalent pure-Python engine with the operations the solver needs:
 * satisfying-assignment extraction and model counting.
 
 Two interchangeable engines implement the :class:`repro.bdd.protocol.BDDBackend`
-protocol: the original dict-of-tuples :class:`BDDManager` (``"dict"``) and the
-packed-array :class:`repro.bdd.arena.ArenaBDDManager` (``"arena"``).  Client
-code constructs whichever is selected through
+protocol: the pure-Python packed-array
+:class:`repro.bdd.arena.ArenaBDDManager` (``"arena"``) and
+:class:`repro.bdd.native.NativeBDDManager` (``"native"``), the same engine
+with its kernels in C.  Client code constructs whichever is selected through
 :func:`repro.bdd.backends.create_manager`.
 """
 
@@ -24,12 +26,13 @@ from repro.bdd.arena import ArenaBDDManager
 from repro.bdd.backends import (
     BACKEND_ENV,
     BACKENDS,
-    DEFAULT_BACKEND,
     available_backends,
     create_manager,
+    default_backend,
     resolve_backend,
 )
-from repro.bdd.manager import BDD, BDDManager
+from repro.bdd.manager import BDD
+from repro.bdd.native import NativeBDDManager
 from repro.bdd.ordering import interleaved_pairs, order_by_first_use
 from repro.bdd.protocol import BDDBackend
 
@@ -38,11 +41,11 @@ __all__ = [
     "BACKENDS",
     "BDD",
     "BDDBackend",
-    "BDDManager",
     "ArenaBDDManager",
-    "DEFAULT_BACKEND",
+    "NativeBDDManager",
     "available_backends",
     "create_manager",
+    "default_backend",
     "interleaved_pairs",
     "order_by_first_use",
     "resolve_backend",

@@ -1,15 +1,16 @@
 """A packed-array ROBDD arena with complement edges — the ``"arena"`` backend.
 
-Same semantics as :class:`repro.bdd.manager.BDDManager` (it satisfies
-:class:`repro.bdd.protocol.BDDBackend` and passes the cross-backend
-conformance suite), different representation, chosen for CPython speed:
+The pure-Python reference engine: it satisfies
+:class:`repro.bdd.protocol.BDDBackend`, and the ``"native"`` engine
+(:mod:`repro.bdd.native`) runs its kernels in C frame for frame, so the two
+hand out identical references and statistics.  The representation is chosen
+for CPython speed:
 
 * **Int-indexed node arena.**  Nodes live in three parallel arrays
   ``_levels`` / ``_lows`` / ``_highs`` indexed by a dense node *index*; a node
   *reference* packs the index with a complement bit: ``ref = index << 1 | sign``.
   There is a single terminal at index 0, so ``TRUE == 0`` and
-  ``FALSE == 1`` (``TRUE ^ 1``) — the opposite numbering from the dict
-  backend, which is exactly why clients must compare against
+  ``FALSE == 1`` (``TRUE ^ 1``) — clients compare against
   ``manager.FALSE`` / ``manager.TRUE`` instead of literals.
 * **Complement edges** make negation O(1) (``ref ^ 1``), halve the node table
   for the negation-heavy fixpoint workload (the solver complements the U/M
@@ -38,7 +39,7 @@ The packing reserves 24 bits for a reference, capping the arena at 2^23
 (~8.4M) live nodes — far above the benchmark workloads; exceeding it raises
 :class:`ArenaCapacityError` rather than silently corrupting keys.
 
-Garbage collection implements the same hook contract as the dict backend
+Garbage collection implements the protocol's hook contract
 (root providers + remap listeners, ``generation`` counter, a relocation dict
 covering every surviving reference in **both** polarities, because clients
 index the remap directly).  The sweep is vectorised with numpy when
@@ -68,7 +69,7 @@ TERMINAL_LEVEL = (1 << LEVEL_BITS) - 1
 
 _CAPACITY_MESSAGE = (
     f"arena node table exceeded {MAX_NODES} nodes; "
-    "use the dict backend for workloads this large"
+    "use the native backend (2^31 nodes) for workloads this large"
 )
 
 
@@ -81,7 +82,7 @@ def _numpy():
     """numpy, imported by the first sweep (``None`` when it is not installed).
 
     numpy only accelerates the GC sweep, so processes that never collect an
-    arena — every dict-backend process among them — never pay its import.
+    arena never pay its import.
     """
     try:
         import numpy
@@ -91,16 +92,36 @@ def _numpy():
 
 
 class ArenaBDDManager:
-    """Packed-array BDD engine; drop-in for :class:`BDDManager` (see module doc)."""
+    """Packed-array BDD engine (see module doc)."""
 
     backend_name = "arena"
 
     # Complement edges: the single terminal (index 0) is TRUE, its complement
-    # is FALSE.  Note this is the *reverse* of the dict backend's constants.
+    # is FALSE.
     TRUE = 0
     FALSE = 1
 
     def __init__(self, variables: Sequence[str] = ()):
+        # Quantified level set -> (tag, level bitmask, max level); the tag
+        # makes the set part of a packed quantifier-cache key.
+        self._quant_tags: dict[frozenset[int], tuple[int, int, int]] = {}
+        self._rename_cache: dict[tuple, int] = {}
+        self._restrict_cache: dict[tuple, int] = {}
+        self._var_names: list[str] = []
+        self._var_levels: dict[str, int] = {}
+        self._neg_calls = 0
+        self._rename_fast = 0
+        self._peak_nodes = 0
+        self._gc_runs = 0
+        self._reclaimed = 0
+        self._gc_hooks: list[tuple[Callable, Callable]] = []
+        self.generation = 0
+        self._init_engine()
+        for name in variables:
+            self.add_variable(name)
+
+    def _init_engine(self) -> None:
+        """Create the node table, the kernel caches and the kernels."""
         # Parallel node arrays; entry 0 is the terminal and never dereferenced
         # on semantic paths (its sentinel level orders below every variable).
         self._levels: list[int] = [TERMINAL_LEVEL]
@@ -113,30 +134,14 @@ class ArenaBDDManager:
         self._and_cache: dict[int, int] = {}
         self._ite_cache: dict[int, int] = {}
         self._quant_cache: dict[int, int] = {}
-        # Quantified level set -> (tag, level bitmask, max level); the tag
-        # makes the set part of a packed quantifier-cache key.
-        self._quant_tags: dict[frozenset[int], tuple[int, int, int]] = {}
-        self._rename_cache: dict[tuple, int] = {}
-        self._restrict_cache: dict[tuple, int] = {}
-        self._var_names: list[str] = []
-        self._var_levels: dict[str, int] = {}
-        # Counters behind ``statistics()``; the hot pair lives in a list the
+        # The hot counters behind ``statistics()`` live in a list the
         # compiled kernels close over: [ite_calls, ite_cache_hits].
         self._counts = [0, 0]
         # One-slot box for the cooperative resource governor; a list (not an
         # attribute) so the compiled kernels can close over it and
         # ``set_governor`` swaps the occupant without recompiling.
         self._governor_cell: list = [None]
-        self._neg_calls = 0
-        self._rename_fast = 0
-        self._peak_nodes = 0
-        self._gc_runs = 0
-        self._reclaimed = 0
-        self._gc_hooks: list[tuple[Callable, Callable]] = []
-        self.generation = 0
         self._compile_kernels()
-        for name in variables:
-            self.add_variable(name)
 
     def __del__(self) -> None:
         # The compiled kernels are self-recursive closures: a reference cycle
@@ -604,6 +609,10 @@ class ArenaBDDManager:
         tag, mask, maxlevel = info
         return self._exists_kernel(node ^ 1, mask, maxlevel, tag) ^ 1
 
+    def product_memo(self) -> dict[int, int]:
+        """A fresh relational-product memo for :meth:`and_exists`."""
+        return {}
+
     def and_exists(
         self,
         a: int,
@@ -613,15 +622,15 @@ class ArenaBDDManager:
     ) -> int:
         """``∃ names. a ∧ b`` without materialising the conjunction.
 
-        ``cache`` follows the dict backend's contract: an opaque caller-owned
-        memo reusable across calls with the *same* quantified set.
+        ``cache`` is an opaque caller-owned memo from :meth:`product_memo`,
+        reusable across calls with the *same* quantified set.
         """
         info = self._quant_info(names)
         if info is None:
             return self._and(a, b)
         tag, mask, maxlevel = info
         return self._and_exists_kernel(
-            a, b, mask, maxlevel, tag, cache if cache is not None else {}
+            a, b, mask, maxlevel, tag, cache if cache is not None else self.product_memo()
         )
 
     # -- substitution --------------------------------------------------------
@@ -900,7 +909,7 @@ class ArenaBDDManager:
         roots: Callable[[], Iterable[int]],
         remap: Callable[[dict[int, int]], None],
     ) -> None:
-        """Register a GC participant (same contract as the dict backend)."""
+        """Register a GC participant (see :mod:`repro.bdd.protocol`)."""
         self._gc_hooks.append((gc_hook_reference(roots), gc_hook_reference(remap)))
 
     def garbage_collect(self, roots: Iterable[int] = ()) -> dict[int, int]:
@@ -913,7 +922,20 @@ class ArenaBDDManager:
         root_refs = {int(node) for node in roots}
         for provider, _listener in hooks:
             root_refs.update(int(node) for node in provider())
+        before = self.node_count()
+        if before > self._peak_nodes:
+            self._peak_nodes = before
+        remap = self._collect(root_refs)
+        self._reclaimed += before - self.node_count()
+        self._gc_runs += 1
+        self.generation += 1
+        self.clear_caches()
+        for _provider, listener in hooks:
+            listener(remap)
+        return remap
 
+    def _collect(self, root_refs: set[int]) -> dict[int, int]:
+        """Mark from the roots, sweep the rest, recompile the kernels."""
         marked = bytearray(len(self._levels))
         marked[0] = 1
         lows = self._lows
@@ -931,9 +953,6 @@ class ArenaBDDManager:
             if not marked[high]:
                 stack.append(high)
 
-        before = self.node_count()
-        if before > self._peak_nodes:
-            self._peak_nodes = before
         replaced = self._node_tables()
         np = _numpy()
         if np is not None:
@@ -943,14 +962,8 @@ class ArenaBDDManager:
         # The previous kernels still hold the replaced arrays (see __del__).
         for table in replaced:
             table.clear()
-        self._reclaimed += before - self.node_count()
-        self._gc_runs += 1
-        self.generation += 1
-        self.clear_caches()
         # The arrays were replaced wholesale: rebind the kernels to them.
         self._compile_kernels()
-        for _provider, listener in hooks:
-            listener(remap)
         return remap
 
     def _sweep_numpy(self, marked: bytearray, np) -> dict[int, int]:

@@ -6,11 +6,12 @@ exclusively through this protocol, so an engine is a drop-in as long as it
 provides these operations with the contracts documented here.  Two engines
 ship with the repository:
 
-* ``"dict"`` — :class:`repro.bdd.manager.BDDManager`, the original pure-Python
-  dict-of-tuples ROBDD engine;
 * ``"arena"`` — :class:`repro.bdd.arena.ArenaBDDManager`, an int-indexed
   packed-array arena with complement edges and integer-packed operation
-  caches.
+  caches, in pure Python (the reference engine and the fallback);
+* ``"native"`` — :class:`repro.bdd.native.NativeBDDManager`, the same engine
+  with its kernels and tables in C; it hands out the arena's references and
+  counters exactly.
 
 Backends are registered in :mod:`repro.bdd.backends`; construct one with
 :func:`repro.bdd.backends.create_manager` (which also honours the
@@ -43,9 +44,9 @@ Contracts every backend must satisfy (verified for all registered backends by
   its solve is dropped.
 * **Statistics.**  :meth:`statistics` returns a
   :class:`repro.bdd.manager.BDDStatistics`; ``ite_calls`` counts ternary
-  *and* fused binary operations including recursive expansions (each backend
-  counts its own algorithm's steps, so absolute values are backend-specific
-  but deterministic for a fixed workload).
+  *and* fused binary operations including recursive expansions.  The two
+  shipped engines run the same algorithm, so their counters (and node ids)
+  are identical for a fixed operation sequence.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.bdd.manager import BDD, BDDStatistics
 class BDDBackend(Protocol):
     """Structural interface of a BDD engine (see module docstring)."""
 
-    #: Registry name of the backend class (``"dict"``, ``"arena"``, ...).
+    #: Registry name of the backend class (``"arena"``, ``"native"``).
     backend_name: str
     #: Terminal node ids (backend-specific values; compare, don't assume).
     FALSE: int
@@ -90,8 +91,9 @@ class BDDBackend(Protocol):
 
     # -- resource governance -----------------------------------------------
     #: Attach (or detach, with ``None``) a cooperative resource governor
-    #: (:class:`repro.solver.governor.ResourceGovernor`-shaped: its ``tick()``
-    #: is called once per kernel frame and may raise ``BudgetExceeded``).
+    #: (a :class:`repro.solver.governor.ResourceGovernor`: one step per
+    #: kernel frame, as its ``tick()`` counts them, with ``poll()`` on
+    #: ``POLL_STRIDE`` boundaries, which may raise ``BudgetExceeded``).
     #: Engines must keep the ungoverned fast path at a single ``None`` check
     #: per frame, and must stay *consistent* after a tick raises: the node
     #: table and caches may hold partial results, but every already-returned
@@ -126,12 +128,15 @@ class BDDBackend(Protocol):
     # -- quantification ----------------------------------------------------
     def exists(self, node: int, names: Iterable[str]) -> int: ...
     def forall(self, node: int, names: Iterable[str]) -> int: ...
+    #: A fresh, opaque relational-product memo for :meth:`and_exists` (it
+    #: supports ``clear()``); reusable across calls with the same names.
+    def product_memo(self) -> object: ...
     def and_exists(
         self,
         a: int,
         b: int,
         names: Iterable[str],
-        cache: dict | None = None,
+        cache: object | None = None,
     ) -> int: ...
 
     # -- substitution ------------------------------------------------------

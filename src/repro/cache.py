@@ -52,7 +52,7 @@ from typing import Iterator
 
 from repro.core import faults
 from repro.logic import syntax as sx
-from repro.logic.printer import format_formula
+from repro.logic.printer import format_formula_prefix
 
 #: Bump to invalidate every existing on-disk entry (entries are stored under
 #: a ``v<N>`` directory and re-checked against this value when read).
@@ -321,7 +321,7 @@ class DiskSolveCache:
             "key": key,
             **record.as_dict(),
             "alphabet": lean_alphabet(formula),
-            "formula": format_formula(formula)[:_FORMULA_PREVIEW_CHARS],
+            "formula": format_formula_prefix(formula, _FORMULA_PREVIEW_CHARS),
             "created": time.time(),
         }
         encoded = json.dumps(payload, ensure_ascii=False, indent=1) + "\n"

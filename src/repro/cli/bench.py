@@ -20,10 +20,10 @@ suite):
   :data:`SCALING_PRODUCT_CALLS_MAX_DEPTH3` — a deterministic performance
   guard that needs no wall-clock.
 * ``backend`` → ``BENCH_backend.json`` — the BDD-backend ablation: every
-  scaling row solved once per registered engine (``dict`` vs ``arena``),
-  verdicts and solver-level counters asserted identical, per-backend
-  ``solve_seconds`` / ``bdd_ite_calls`` / peak node counts recorded.
-  ``--quick`` enforces committed per-backend ``bdd_ite_calls`` ceilings.
+  scaling row solved once per registered engine (``arena`` vs ``native``),
+  verdicts and every solver/BDD counter asserted identical, per-backend
+  ``solve_seconds`` and the ``native_speedup`` ratio recorded.  ``--quick``
+  enforces committed per-backend ``bdd_ite_calls`` ceilings.
 * ``audit`` → ``BENCH_audit.json`` — the stylesheet-auditor workload: one
   :func:`repro.xslt.rules.audit_stylesheet` pass over a committed example
   (``--quick``: the clean Wikipedia control; full: the seeded XHTML
@@ -382,32 +382,39 @@ BACKEND_REPS = 3
 
 #: Deterministic ``--quick`` guard: the depth-3 ``bdd_ite_calls`` counter of
 #: each backend must not regress above its committed ceiling (measured
-#: 11,023 for dict and 16,578 for arena — the arena counts every fused
-#: kernel frame where the dict engine counts top-level ternary calls, so the
-#: ceilings are per-backend by construction).  Counters are deterministic,
-#: so this guard needs no wall-clock and never flakes.
-BACKEND_ITE_CALLS_MAX_DEPTH3 = {"dict": 15_000, "arena": 20_500}
+#: 16,578 on both: the native kernels run the arena's algorithm frame for
+#: frame, so the counters are equal by construction — and asserted equal on
+#: every row).  Counters are deterministic, so this guard needs no
+#: wall-clock and never flakes.
+BACKEND_ITE_CALLS_MAX_DEPTH3 = {"arena": 20_500, "native": 20_500}
 
-#: Measured reality, recorded in the payload next to each row's ``speedup``:
-#: the pure-Python arena reaches ~1.1x over the dict engine on the deep
-#: scaling rows (both engines are memo-bound in the CPython interpreter;
-#: identical frame counts, near-identical per-frame cost).  The 2x ambition
-#: needs a native-code backend behind the same protocol — see
-#: docs/ARCHITECTURE.md.  The committed floor only guards against the arena
-#: *losing* to dict by more than noise.
-ARENA_MIN_SPEEDUP_DEEP = 0.9
-ARENA_TARGET_SPEEDUP = 2.0
+#: The native engine's wall-clock goal over the pure-Python arena on the deep
+#: rows (depth >= 4).  Recorded next to each row's ``native_speedup``, not
+#: gated: wall time varies across machines.
+NATIVE_TARGET_SPEEDUP = 2.0
+NATIVE_TARGET_MIN_DEPTH = 4
+
+#: Solver counters every backend must reproduce exactly on every row.
+BACKEND_COUNTERS = (
+    "iterations",
+    "product_calls",
+    "bdd_ite_calls",
+    "bdd_ite_cache_hits",
+    "bdd_peak_node_count",
+    "bdd_node_count",
+)
 
 
 def run_backend(quick: bool = False) -> dict:
-    """BDD-backend ablation on the scaling rows: dict vs arena, per depth.
+    """BDD-backend ablation on the scaling rows: arena vs native, per depth.
 
-    Every backend must produce the identical verdict, fixpoint iteration
-    count and relational-product count on every row (observational
-    equivalence through the :class:`repro.bdd.protocol.BDDBackend`
-    protocol); the per-backend columns record what each engine spent doing
-    it.  ``--quick`` additionally enforces the deterministic per-backend
-    ``bdd_ite_calls`` ceilings of :data:`BACKEND_ITE_CALLS_MAX_DEPTH3`.
+    Every backend must produce the identical verdict and the identical
+    solver and BDD counters of :data:`BACKEND_COUNTERS` on every row (the
+    native kernels replay the arena's algorithm frame for frame); the
+    per-backend columns record the wall clock each engine spent doing it,
+    and ``native_speedup`` their ratio.  ``--quick`` additionally enforces
+    the deterministic per-backend ``bdd_ite_calls`` ceilings of
+    :data:`BACKEND_ITE_CALLS_MAX_DEPTH3`.
     """
     import gc
 
@@ -438,7 +445,9 @@ def run_backend(quick: bool = False) -> dict:
                 if best is None or stats["solve_seconds"] < best["solve_seconds"]:
                     best = stats
                     best_verdict = result.satisfiable
-            signature = (best_verdict, best["iterations"], best["product_calls"])
+            column = {"satisfiable": best_verdict, "solve_seconds": round(best["solve_seconds"], 6)}
+            column.update((name, best[name]) for name in BACKEND_COUNTERS)
+            signature = {name: value for name, value in column.items() if name != "solve_seconds"}
             if reference is None:
                 reference = signature
             elif signature != reference:
@@ -446,36 +455,29 @@ def run_backend(quick: bool = False) -> dict:
                     f"backend {backend!r} diverged at depth {depth}: "
                     f"{signature} != {reference}"
                 )
-            columns[backend] = {
-                "satisfiable": best_verdict,
-                "solve_seconds": round(best["solve_seconds"], 6),
-                "iterations": best["iterations"],
-                "product_calls": best["product_calls"],
-                "bdd_ite_calls": best["bdd_ite_calls"],
-                "bdd_ite_cache_hits": best["bdd_ite_cache_hits"],
-                "bdd_peak_node_count": best["bdd_peak_node_count"],
-                "bdd_node_count": best["bdd_node_count"],
-            }
+            columns[backend] = column
         row = {"depth": depth, "query": query, "backends": columns}
-        if "dict" in columns and "arena" in columns and columns["arena"]["solve_seconds"]:
-            row["arena_speedup"] = round(
-                columns["dict"]["solve_seconds"] / columns["arena"]["solve_seconds"], 3
+        if {"arena", "native"} <= set(columns) and columns["native"]["solve_seconds"]:
+            row["native_speedup"] = round(
+                columns["arena"]["solve_seconds"] / columns["native"]["solve_seconds"], 3
             )
         rows.append(row)
 
+    deep = [row["native_speedup"] for row in rows
+            if row["depth"] >= NATIVE_TARGET_MIN_DEPTH and "native_speedup" in row]
     payload = {
-        "benchmark": "BDD backend ablation on the scaling rows (dict vs arena)",
+        "benchmark": "BDD backend ablation on the scaling rows (arena vs native)",
         "quick": quick,
         "repetitions": reps,
         "backends": list(backends),
         "ite_calls_max_depth3": dict(BACKEND_ITE_CALLS_MAX_DEPTH3),
-        "arena_min_speedup_deep": ARENA_MIN_SPEEDUP_DEEP,
-        "arena_target_speedup": ARENA_TARGET_SPEEDUP,
+        "native_target_speedup": NATIVE_TARGET_SPEEDUP,
+        "native_target_min_depth": NATIVE_TARGET_MIN_DEPTH,
+        "native_reaches_target": bool(deep) and min(deep) >= NATIVE_TARGET_SPEEDUP,
         "note": (
-            "verdicts/iterations/product_calls are asserted identical across "
-            "backends; the pure-Python arena lands near parity on wall clock "
-            "(both engines are memo-bound in CPython) — the target speedup "
-            "is the headroom a native backend behind the same protocol buys"
+            "verdicts and every solver/BDD counter are asserted identical "
+            "across backends (the native kernels run the arena's algorithm "
+            "frame for frame); only solve_seconds differs"
         ),
         "rows": rows,
     }

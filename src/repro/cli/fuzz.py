@@ -98,7 +98,8 @@ def add_arguments(parser) -> None:
         "--backend", default=None, metavar="NAME",
         help="BDD engine axis of the ablation matrix: a backend name, or "
         "'all' to solve every cell once per registered engine and demand "
-        "identical verdicts (default: $REPRO_BDD_BACKEND if set, else dict)",
+        "identical verdicts (default: $REPRO_BDD_BACKEND if set, else the "
+        "default engine: native when its C library builds, otherwise arena)",
     )
     parser.add_argument(
         "--chaos", action="store_true",

@@ -35,7 +35,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Registered BDD engines, kept in sync with ``repro.bdd.backends.BACKENDS``
 #: (hard-coded here so ``repro ... --help`` never imports the solver stack).
-BACKEND_CHOICES = ("dict", "arena")
+BACKEND_CHOICES = ("arena", "native")
 
 
 def _add_cache_dir_option(parser: argparse.ArgumentParser) -> None:
@@ -54,7 +54,8 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_CHOICES,
         default=None,
         help="BDD engine for solver runs (default: $REPRO_BDD_BACKEND if set, "
-        "else dict); both engines produce identical verdicts",
+        "else native when its C library builds, otherwise arena); both engines "
+        "produce identical verdicts",
     )
 
 

@@ -16,6 +16,8 @@ The concrete syntax (also accepted by :mod:`repro.logic.parser`) is::
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.logic import syntax as sx
 
 
@@ -25,61 +27,90 @@ def _format_program(program: int) -> str:
 
 def format_formula(formula: sx.Formula) -> str:
     """Render a formula as a single-line string."""
-    return _format(formula, parent_precedence=0)
+    return "".join(_chunks(formula, 0))
+
+
+def format_formula_prefix(formula: sx.Formula, limit: int) -> str:
+    """``format_formula(formula)[:limit]``, rendering only what it keeps."""
+    kept: list[str] = []
+    size = 0
+    for chunk in _chunks(formula, 0):
+        kept.append(chunk)
+        size += len(chunk)
+        if size >= limit:
+            break
+    return "".join(kept)[:limit]
 
 
 # Precedence levels: 1 = | , 2 = & , 3 = prefix (modalities), 4 = atoms.
 
 
-def _format(formula: sx.Formula, parent_precedence: int) -> str:
-    kind = formula.kind
-    if kind == sx.KIND_TRUE:
-        return "T"
-    if kind == sx.KIND_FALSE:
-        return "F"
-    if kind == sx.KIND_START:
-        return "s"
-    if kind == sx.KIND_NSTART:
-        return "~s"
-    if kind == sx.KIND_PROP:
-        return formula.label
-    if kind == sx.KIND_NPROP:
-        return f"~{formula.label}"
-    if kind == sx.KIND_ATTR:
-        return f"@{formula.label}"
-    if kind == sx.KIND_NATTR:
-        return f"~@{formula.label}"
-    if kind == sx.KIND_VAR:
-        return f"${formula.label}"
-    if kind == sx.KIND_NDIA:
-        return f"~<{_format_program(formula.prog)}>T"
-    if kind == sx.KIND_DIA:
-        inner = _format(formula.left, 3)
-        text = f"<{_format_program(formula.prog)}>{inner}"
-        return text
-    if kind == sx.KIND_OR:
-        # The parser is left-associative, so a right-nested operand of the
-        # same connective must keep its parentheses to round-trip
-        # (parse(format(f)) is f — exercised by generator-based tests).
-        right = _format(formula.right, 1)
-        if formula.right.kind == sx.KIND_OR:
-            right = f"({right})"
-        text = f"{_format(formula.left, 1)} | {right}"
-        return f"({text})" if parent_precedence > 1 else text
-    if kind == sx.KIND_AND:
-        right = _format(formula.right, 2)
-        if formula.right.kind == sx.KIND_AND:
-            right = f"({right})"
-        text = f"{_format(formula.left, 2)} & {right}"
-        return f"({text})" if parent_precedence > 2 else text
-    if kind in (sx.KIND_MU, sx.KIND_NU):
-        keyword = "let_mu" if kind == sx.KIND_MU else "let_nu"
-        bindings = ", ".join(
-            f"{name} = {_format(definition, 0)}" for name, definition in formula.defs
-        )
-        text = f"{keyword} {bindings} in {_format(formula.body, 0)}"
-        return f"({text})" if parent_precedence > 0 else text
-    raise AssertionError(f"unknown formula kind {kind!r}")
+def _chunks(formula: sx.Formula, parent_precedence: int) -> Iterator[str]:
+    """The rendering of ``formula`` as a stream of text chunks, left to right.
+
+    An explicit stack of pending items (a text chunk, or a subformula with the
+    precedence of its context) replaces recursion, so a caller that needs
+    only a prefix stops early and deep formulas cost no Python frames.
+    """
+    stack: list[str | tuple[sx.Formula, int]] = [(formula, parent_precedence)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        formula, precedence = item
+        kind = formula.kind
+        if kind == sx.KIND_TRUE:
+            yield "T"
+        elif kind == sx.KIND_FALSE:
+            yield "F"
+        elif kind == sx.KIND_START:
+            yield "s"
+        elif kind == sx.KIND_NSTART:
+            yield "~s"
+        elif kind == sx.KIND_PROP:
+            yield formula.label
+        elif kind == sx.KIND_NPROP:
+            yield f"~{formula.label}"
+        elif kind == sx.KIND_ATTR:
+            yield f"@{formula.label}"
+        elif kind == sx.KIND_NATTR:
+            yield f"~@{formula.label}"
+        elif kind == sx.KIND_VAR:
+            yield f"${formula.label}"
+        elif kind == sx.KIND_NDIA:
+            yield f"~<{_format_program(formula.prog)}>T"
+        elif kind == sx.KIND_DIA:
+            yield f"<{_format_program(formula.prog)}>"
+            stack.append((formula.left, 3))
+        elif kind in (sx.KIND_OR, sx.KIND_AND):
+            # The parser is left-associative, so a right-nested operand of the
+            # same connective must keep its parentheses to round-trip
+            # (parse(format(f)) is f — exercised by generator-based tests).
+            level, operator = (1, " | ") if kind == sx.KIND_OR else (2, " & ")
+            nested = formula.right.kind == kind
+            parts: list[str | tuple[sx.Formula, int]] = [
+                (formula.left, level),
+                operator + ("(" if nested else ""),
+                (formula.right, level),
+            ]
+            if nested:
+                parts.append(")")
+            if precedence > level:
+                parts = ["(", *parts, ")"]
+            stack.extend(reversed(parts))
+        elif kind in (sx.KIND_MU, sx.KIND_NU):
+            keyword = "let_mu" if kind == sx.KIND_MU else "let_nu"
+            parts = [keyword + " "]
+            for position, (name, definition) in enumerate(formula.defs):
+                parts.append(f"{', ' if position else ''}{name} = ")
+                parts.append((definition, 0))
+            parts += [" in ", (formula.body, 0)]
+            if precedence > 0:
+                parts = ["(", *parts, ")"]
+            stack.extend(reversed(parts))
+        else:
+            raise AssertionError(f"unknown formula kind {kind!r}")
 
 
 def format_formula_pretty(formula: sx.Formula, indent: int = 2) -> str:
@@ -89,7 +120,7 @@ def format_formula_pretty(formula: sx.Formula, indent: int = 2) -> str:
         keyword = "let_mu" if kind == sx.KIND_MU else "let_nu"
         pad = " " * indent
         bindings = (",\n").join(
-            f"{pad}{name} = {_format(definition, 0)}" for name, definition in formula.defs
+            f"{pad}{name} = {format_formula(definition)}" for name, definition in formula.defs
         )
-        return f"{keyword}\n{bindings}\nin {_format(formula.body, 0)}"
+        return f"{keyword}\n{bindings}\nin {format_formula(formula.body)}"
     return format_formula(formula)

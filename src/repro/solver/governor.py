@@ -12,9 +12,11 @@ solver and both BDD engines poll:
 * :class:`ResourceGovernor` — the per-solve enforcement state.  Enforcement
   is *cooperative*: the fixpoint loop of :class:`repro.solver.symbolic.
   SymbolicSolver` calls :meth:`~ResourceGovernor.poll` once per iteration,
-  and both BDD engines call :meth:`~ResourceGovernor.tick` once per kernel
-  frame (``ite``/``exists``/``and_exists`` recursion step), which polls the
-  clock every :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
+  and the BDD engines count one step per kernel frame
+  (``ite``/``exists``/``and_exists`` recursion step) — the arena through
+  :meth:`~ResourceGovernor.tick`, the native kernels with the same
+  arithmetic in C — and poll the clock every
+  :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
   iteration can conjoin astronomically large BDDs, so iteration-level checks
   alone would not bound latency — the kernel ticks are what make the deadline
   bite *inside* an iteration, within milliseconds of expiry.
@@ -133,10 +135,11 @@ class ResourceGovernor:
       the fixpoint loop once per iteration.
     """
 
-    #: Kernel frames between wall-clock polls.  At the dict backend's
-    #: ~10⁶ frames/second this bounds checkpoint latency well under a
-    #: millisecond while keeping the per-frame cost to one increment and
-    #: one masked comparison.
+    #: Kernel frames between wall-clock polls (a power of two).  At the
+    #: Python arena's ~10⁶ frames/second this bounds checkpoint latency well
+    #: under a millisecond while keeping the per-frame cost to one increment
+    #: and one masked comparison.  The native kernels read it once, count
+    #: steps in C, and write ``steps`` back before every :meth:`poll`.
     POLL_STRIDE = 1024
 
     __slots__ = ("budget", "steps", "iterations", "_started", "_deadline_at")

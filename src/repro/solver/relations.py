@@ -223,9 +223,9 @@ class _ScheduleStep:
     primed_support: frozenset[str] = frozenset()
     partition_count: int = 1
     #: Persistent relational-product memo for this step (the block and the
-    #: eliminated variables are fixed, so only the incoming operand varies);
-    #: cleared on garbage collection.
-    cache: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: eliminated variables are fixed, so only the incoming operand varies),
+    #: from the manager's ``product_memo()``; cleared on garbage collection.
+    cache: object = None
 
 
 @dataclass
@@ -404,7 +404,15 @@ class TransitionRelation:
                 support |= partition.primed_support
             pending_steps.append((block, frozenset(support), len(group)))
         for block, support, count in reversed(pending_steps):
-            steps.append(_ScheduleStep(block, support - seen_later, support, count))
+            steps.append(
+                _ScheduleStep(
+                    block,
+                    support - seen_later,
+                    support,
+                    count,
+                    self.encoding.manager.product_memo(),
+                )
+            )
             seen_later |= support
         steps.reverse()
         return steps

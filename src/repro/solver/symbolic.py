@@ -155,8 +155,8 @@ class SymbolicSolver:
       participant) and remapping in place.  ``None`` disables collection;
       useful for long-running solves whose intermediate results dominate the
       node table.
-    * ``backend`` — which registered BDD engine to solve on (``"dict"``,
-      ``"arena"``, ...); ``None`` defers to ``REPRO_BDD_BACKEND`` and then
+    * ``backend`` — which registered BDD engine to solve on (``"arena"``,
+      ``"native"``); ``None`` defers to ``REPRO_BDD_BACKEND`` and then
       the default.  The verdict is backend-independent (enforced by the
       cross-backend conformance suite and the fuzzer's backend axis).
     * ``budget`` — optional :class:`repro.solver.governor.Budget` bounding

@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.problems import label_projection, relevant_attributes
+from repro.bdd.backends import default_backend
 from repro.logic import syntax as sx
 from repro.logic.negation import negate
 from repro.solver.symbolic import SymbolicSolver
@@ -61,10 +62,6 @@ from repro.xpath.parser import parse_xpath_cached
 #: ``FuzzConfig.backends``.
 ABLATION_MATRIX = (False, True)
 
-#: Default backend axis of the ablation matrix (the engine the rest of the
-#: suite exercises by default; pass several names to cross-check engines).
-DEFAULT_FUZZ_BACKENDS = ("dict",)
-
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -82,8 +79,9 @@ class FuzzConfig:
     sample_corpus: int = 0
     #: BDD engines forming the second ablation axis; every pruning cell is
     #: solved once per backend and all verdicts must agree.  The first entry
-    #: is the reference engine.
-    backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS
+    #: is the reference engine.  Default: the default engine alone, resolved
+    #: when the campaign is set up (importing this module loads no library).
+    backends: tuple[str, ...] = field(default_factory=lambda: (default_backend(),))
     #: Also run the resource-governance chaos probes on every solved trial
     #: (seeded budgeted re-solve + injected deadline expiry; see module
     #: docstring).
@@ -200,17 +198,20 @@ def evaluate_case(
     case: FuzzCase,
     bounds: Bounds = Bounds(),
     index: int = 0,
-    backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS,
+    backends: tuple[str, ...] | None = None,
     chaos: bool = False,
 ) -> TrialOutcome:
     """Run one case through the ablation matrix and every oracle.
 
     ``backends`` is the BDD-engine axis: every pruning cell is
-    solved once per listed engine, and a verdict split across engines is a
-    disagreement like any other.  ``backends[0]`` is the reference whose
-    witness feeds the replay oracle.  With ``chaos`` the resource-governance
-    probes of :func:`_chaos_check` run after the oracles.
+    solved once per listed engine (default: the default engine alone), and
+    a verdict split across engines is a disagreement like any other.
+    ``backends[0]`` is the reference whose witness feeds the replay oracle.
+    With ``chaos`` the resource-governance probes of :func:`_chaos_check`
+    run after the oracles.
     """
+    if backends is None:
+        backends = (default_backend(),)
     started = time.perf_counter()
     outcome = TrialOutcome(index=index, case=case)
     dtd = case.dtd()

@@ -8,9 +8,11 @@ enrols it automatically) and finishes with a seeded differential check that
 builds a few hundred random formula DAGs on *all* backends at once and
 demands identical satisfiability and model counts.
 
-Node ids are *not* comparable across engines (the arena's terminals differ
-from the dict engine's); within one engine they are canonical — equal
-functions must be the same id — and that is tested too.
+Within one engine node ids are canonical — equal functions must be the same
+id.  Across the two shipped engines they are identical too: the native
+kernels run the arena's algorithm frame for frame, so the same operation
+sequence yields the same ids, counters, peak node counts and budget trips
+on both (the "native ≡ arena" section at the end).
 """
 
 import gc
@@ -62,10 +64,10 @@ def test_resolve_precedence(monkeypatch):
     from repro.bdd.backends import BACKEND_ENV, resolve_backend
 
     monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend() == "dict"
+    assert resolve_backend() == "native"
     monkeypatch.setenv(BACKEND_ENV, "arena")
     assert resolve_backend() == "arena"
-    assert resolve_backend("dict") == "dict"  # explicit beats environment
+    assert resolve_backend("native") == "native"  # explicit beats environment
     with pytest.raises(ValueError):
         resolve_backend("no-such-engine")
 
@@ -429,3 +431,235 @@ def test_product_cache_keys_are_backend_qualified():
         foreign = LeanEncoding(lean, backend=other_engine)
         with pytest.raises(ValueError, match="different BDD manager"):
             relation.witness(foreign.types_constraint())
+
+
+# ---------------------------------------------------------------------------
+# native ≡ arena: same ids, same counters, same budget trips
+# ---------------------------------------------------------------------------
+
+
+def _operation_trace(engine, seed, max_steps=None, steps=160, after_trip=40):
+    """Run one seeded operation sequence; return every result and the stats.
+
+    The sequence covers the kernels (conj/disj/xor/iff/implies/ite),
+    quantification (``exists``/``forall``/``and_exists`` with a step memo
+    reused per quantified set, as the transition relations do), renaming on
+    both the structural and the general path, restriction, inspection, and
+    garbage collection with the remap applied to every held id.  A governor
+    counts the kernel steps after every operation; with ``max_steps`` it
+    trips mid-kernel, and ``after_trip`` more operations run ungoverned on
+    whatever the unwound kernels left behind.
+    """
+    from repro.core.errors import BudgetExceeded
+    from repro.solver.governor import Budget, ResourceGovernor
+
+    rng = random.Random(seed)
+    names_all = [f"w{i}" for i in range(14)]
+    manager = create_manager(names_all, backend=engine)
+    governor = ResourceGovernor(Budget(max_steps=max_steps or 10**12))
+    manager.set_governor(governor)
+    variables = [manager.var_node(name) for name in names_all]
+    pool = [
+        manager.xor(manager.conj(*rng.sample(variables, 2)), rng.choice(variables))
+        for _ in range(8)
+    ]
+    state = {"pool": pool, "memos": {}}
+    trace = []
+
+    def pick():
+        pool = state["pool"]
+        return rng.choice(pool[-10:] if rng.random() < 0.7 else pool)
+
+
+    def draw():
+        """Draw one operation; returns it as a re-runnable closure."""
+        memos = state["memos"]
+        op = rng.randrange(12)
+        f, g, h = pick(), pick(), pick()
+        names = tuple(sorted(rng.sample(names_all, rng.randrange(1, 5))))
+        flip, shift = rng.random() < 0.5, rng.choice((1, 2))
+        values = {name: rng.random() < 0.5 for name in names}
+        if op == 0:
+            return lambda: manager.conj(f, g)
+        if op == 1:
+            return lambda: manager.disj(f, manager.neg(g))
+        if op == 2:
+            return lambda: manager.xor(f, g) if flip else manager.iff(f, g)
+        if op == 3:
+            return lambda: manager.ite(f, g, h)
+        if op == 4:
+            return lambda: manager.implies(f, g)
+        if op == 5:
+            return lambda: manager.exists(f, names) if flip else manager.forall(f, names)
+        if op == 6:
+            memo = memos.setdefault(names, manager.product_memo())
+            return lambda: manager.and_exists(f, g, names, memo)
+        if op == 7:
+            mapping = {
+                names_all[i]: names_all[i + shift] for i in range(0, len(names_all) - shift, 3)
+            }
+            if flip:
+                mapping = {target: source for source, target in mapping.items()}
+            return lambda: manager.rename(f, mapping)
+        if op == 8:
+            return lambda: manager.restrict(f, values)
+        if op == 9:
+            return lambda: trace.append(
+                (sorted(manager.support(f)), manager.dag_size(f), manager.dag_size(f, 2),
+                 manager.pick_assignment(f), manager.count_assignments(f))
+            )
+        if op == 10 and len(state["pool"]) > 24:
+            kept = rng.sample(state["pool"], len(state["pool"]) // 2)
+
+            def collect():
+                remap = manager.garbage_collect(kept)
+                state["pool"] = [remap[node] for node in kept]
+                for memo in memos.values():
+                    memo.clear()
+                trace.append(("gc", sorted(remap.items())))
+
+            return collect
+        operands = rng.sample(state["pool"], 3)
+        return lambda: manager.conj_all(operands)
+
+    def run(operation):
+        result = operation()
+        if result is not None:
+            state["pool"].append(result)
+            trace.append((result, governor.steps))
+
+    try:
+        for _ in range(steps):
+            operation = draw()
+            run(operation)
+    except BudgetExceeded as error:
+        trace.append(("trip", error.reason, error.limit, error.observed, str(error)))
+        manager.set_governor(None)
+        run(operation)  # the interrupted operation, redone on the unwound tables
+        for _ in range(after_trip):
+            run(draw())
+    return trace, governor.steps, manager.statistics().as_dict()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_native_matches_arena_on_random_operation_sequences(seed):
+    assert _operation_trace("native", seed) == _operation_trace("arena", seed)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 6, 9, 10])
+def test_native_matches_arena_after_a_mid_kernel_budget_trip(seed):
+    """A trip unwinds without computed-table entries for unfinished frames:
+    the interrupted operation, redone, and the ones after it see the same
+    tables on both engines."""
+    _trace, total_steps, _stats = _operation_trace("arena", seed)
+    max_steps = total_steps // 2
+    native = _operation_trace("native", seed, max_steps=max_steps)
+    assert any(item[0] == "trip" for item in native[0] if isinstance(item, tuple) and item)
+    assert native == _operation_trace("arena", seed, max_steps=max_steps)
+
+
+def test_native_matches_arena_solver_statistics_on_scaling_depths():
+    from repro.analysis.problems import _query_formula
+    from repro.cli.bench import scaling_query
+    from repro.logic import syntax as sx
+    from repro.logic.negation import negate
+    from repro.solver.symbolic import SymbolicSolver
+
+    for depth in range(1, 7):
+        query = scaling_query(depth)
+        weaker = query.replace("[b2]", "") if depth >= 2 else "*"
+        formula = sx.mk_and(_query_formula(query, None), negate(_query_formula(weaker, None)))
+        runs = {}
+        for engine in ("arena", "native"):
+            result = SymbolicSolver(formula, backend=engine).solve()
+            stats = result.statistics.as_dict()
+            for timing in ("solve_seconds", "translation_seconds"):
+                stats.pop(timing, None)
+            runs[engine] = (result.satisfiable, stats)
+        assert runs["native"] == runs["arena"], depth
+
+
+@pytest.mark.parametrize("max_steps", [1, 4096, 60_000])
+def test_native_and_arena_trip_the_same_step_budget(max_steps):
+    from repro.cli.bench import scaling_query
+    from repro.analysis.problems import _query_formula
+    from repro.core.errors import BudgetExceeded
+    from repro.logic import syntax as sx
+    from repro.logic.negation import negate
+    from repro.solver.governor import Budget
+    from repro.solver.symbolic import SymbolicSolver
+
+    query = scaling_query(5)
+    formula = sx.mk_and(
+        _query_formula(query, None), negate(_query_formula(query.replace("[b2]", ""), None))
+    )
+    trips = {}
+    for engine in ("arena", "native"):
+        solver = SymbolicSolver(formula, backend=engine, budget=Budget(max_steps=max_steps))
+        with pytest.raises(BudgetExceeded) as info:
+            solver.solve()
+        error = info.value
+        trips[engine] = (error.reason, error.limit, error.observed, str(error))
+    assert trips["native"] == trips["arena"]
+    assert trips["native"][0] == "steps"
+
+
+def test_native_load_failure_falls_back_to_arena(monkeypatch, tmp_path):
+    from repro.bdd import native
+    from repro.bdd.backends import BACKEND_ENV, default_backend, resolve_backend
+
+    def broken_build(target):
+        raise native.NativeUnavailableError("no C compiler on this machine")
+
+    monkeypatch.setattr(native, "_loaded", None)
+    monkeypatch.setattr(native, "library_path", lambda: tmp_path / "absent.so")
+    monkeypatch.setattr(native, "_build", broken_build)
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    assert default_backend() == "arena"
+    assert resolve_backend() == "arena"
+    assert create_manager(NAMES).backend_name == "arena"
+    assert available_backends() == ("arena", "native")
+    for attempt in (lambda: resolve_backend("native"), lambda: create_manager(NAMES, "native")):
+        with pytest.raises(native.NativeUnavailableError, match="no C compiler on this machine"):
+            attempt()
+
+
+def test_native_build_publishes_atomically(monkeypatch, tmp_path):
+    """A cold build lands in the user cache under its digest, leaving no
+    private build directory behind, and the published file loads."""
+    from repro.bdd import native
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", None)
+    target = native.library_path()
+    assert target.parent == tmp_path / "repro" / "native"
+    assert not target.exists()
+    module = native.library()
+    assert target.is_file()
+    assert [path.name for path in target.parent.iterdir()] == [target.name]
+    assert module.TERMINAL_LEVEL == arena.TERMINAL_LEVEL
+    assert module.Arena().conj(0, 1) == 1
+
+
+def test_processes_that_never_solve_never_load_the_native_library():
+    source = Path(repro.__file__).resolve().parents[1]
+    code = (
+        "import repro.api, repro.xslt, repro.cli.main; "
+        "from repro.bdd import native; "
+        "print(native._loaded is None)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(source))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "True"
+
+
+def test_native_rejects_a_foreign_product_memo():
+    """A memo's entries are node ids of the manager that made it."""
+    first = create_manager(NAMES, backend="native")
+    second = create_manager(NAMES, backend="native")
+    a, b = first.var_node("v0"), first.var_node("v1")
+    with pytest.raises(TypeError, match="this manager"):
+        first.and_exists(a, b, ["v0"], second.product_memo())
+    assert first.and_exists(a, b, ["v0"], first.product_memo()) == b

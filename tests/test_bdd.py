@@ -1,19 +1,19 @@
-"""Unit and property tests for the ROBDD engine."""
+"""Unit and property tests for the ROBDD engines (every registered backend)."""
 
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bdd.manager import BDDManager
+from repro.bdd.backends import BACKENDS, create_manager
 from repro.bdd.ordering import interleaved_pairs, order_by_first_use
 
 NAMES = ["a", "b", "c", "d"]
 
 
-@pytest.fixture
-def manager():
-    return BDDManager(NAMES)
+@pytest.fixture(params=sorted(BACKENDS))
+def manager(request):
+    return create_manager(NAMES, backend=request.param)
 
 
 def brute_force(function, names=NAMES):
@@ -174,18 +174,20 @@ def eval_expr(expr, assignment):
     return {"and": left and right, "or": left or right, "xor": left != right}[expr[0]]
 
 
-@given(boolean_exprs())
-def test_bdd_matches_boolean_semantics(expr):
-    manager = BDDManager(NAMES)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@given(expr=boolean_exprs())
+def test_bdd_matches_boolean_semantics(backend, expr):
+    manager = create_manager(NAMES, backend=backend)
     function = build_bdd(manager, expr)
     for bits in itertools.product((False, True), repeat=len(NAMES)):
         assignment = dict(zip(NAMES, bits))
         assert function.evaluate(assignment) == eval_expr(expr, assignment)
 
 
-@given(boolean_exprs(), st.sampled_from(NAMES))
-def test_quantification_property(expr, name):
-    manager = BDDManager(NAMES)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@given(expr=boolean_exprs(), name=st.sampled_from(NAMES))
+def test_quantification_property(backend, expr, name):
+    manager = create_manager(NAMES, backend=backend)
     function = build_bdd(manager, expr)
     exists = function.exists([name])
     forall = function.forall([name])

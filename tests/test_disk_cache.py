@@ -88,6 +88,44 @@ def test_put_get_round_trip(tmp_path):
     assert entry["alphabet"]["labels"] == ["a", "b"]
 
 
+def _preview_formulas():
+    """Corpus, generated and schema-sized formulas (some far over 400 chars)."""
+    import random
+    from pathlib import Path
+
+    from repro.testing.corpus import load_corpus
+    from repro.testing.fuzz import case_formula
+    from repro.testing.generators import gen_case
+    from repro.xmltypes.compile import compile_dtd
+    from repro.xmltypes.library import builtin_dtd
+
+    cases = [entry.case for entry in load_corpus(Path(__file__).parent / "corpus")]
+    rng = random.Random(20261017)
+    cases += [gen_case(rng) for _ in range(40)]
+    formulas = [case_formula(case, case.dtd(), pruned) for case in cases for pruned in (False, True)]
+    formulas += [compile_dtd(builtin_dtd(name)) for name in ("wikipedia", "smil")]
+    return formulas
+
+
+def test_entry_preview_renders_only_the_kept_prefix(tmp_path):
+    """The stored preview is exactly the first 400 characters of the
+    rendering, produced without rendering the rest."""
+    from repro.logic.printer import format_formula, format_formula_prefix
+
+    formulas = _preview_formulas()
+    assert max(len(format_formula(formula)) for formula in formulas) > 10_000
+    for formula in formulas:
+        text = format_formula(formula)
+        for limit in (0, 1, 37, 400, len(text), len(text) + 5):
+            assert format_formula_prefix(formula, limit) == text[:limit]
+    cache = DiskSolveCache(tmp_path)
+    record = SolveRecord(satisfiable=True, counterexample=None, statistics={}, solve_seconds=0.0)
+    for formula in formulas[-2:]:
+        cache.put(formula, record)
+    previews = sorted(entry["formula"] for entry in cache.entries())
+    assert previews == sorted(format_formula(formula)[:400] for formula in formulas[-2:])
+
+
 def test_corrupt_entries_are_misses(tmp_path):
     cache = DiskSolveCache(tmp_path)
     formula = parse_formula("a & <1>b")

@@ -312,7 +312,7 @@ def test_evaluate_case_backend_axis_multiplies_the_matrix():
     from repro.bdd.backends import available_backends
 
     backends = available_backends()
-    assert set(backends) >= {"dict", "arena"}
+    assert set(backends) >= {"arena", "native"}
     case = FuzzCase(kind="containment", exprs=("child::a[b]", "child::a"))
     outcome = evaluate_case(case, Bounds(max_documents=150), backends=backends)
     assert outcome.error is None
@@ -332,15 +332,15 @@ def test_run_fuzz_records_backends_in_report_and_seeds(tmp_path):
         bounds=Bounds(max_documents=100),
         corpus_dir=str(tmp_path),
         sample_corpus=1,
-        backends=("dict", "arena"),
+        backends=("arena", "native"),
     )
     report = run_fuzz(config)
     assert not report.disagreements and not report.errors
     payload = report.as_dict()
-    assert payload["ablation"]["backends"] == ["dict", "arena"]
+    assert payload["ablation"]["backends"] == ["arena", "native"]
     assert all("backend" in cell for cell in payload["ablation"]["matrix"])
     (entry,) = load_corpus(tmp_path)
-    assert entry.expected["backends"] == ["dict", "arena"]
+    assert entry.expected["backends"] == ["arena", "native"]
 
 
 def test_run_fuzz_small_campaign_is_clean_and_deterministic():

@@ -214,7 +214,7 @@ def test_pathological_query_trips_deadline_on_both_backends():
     both BDD engines, with the identical reason."""
     query = Query.containment(PATHOLOGICAL, PATHOLOGICAL_SUPERSET)
     reasons = {}
-    for backend in ("dict", "arena"):
+    for backend in ("arena", "native"):
         analyzer = StaticAnalyzer(backend=backend)
         started = time.perf_counter()
         outcome = analyzer.solve(query, Budget(deadline_seconds=2.0))
@@ -224,7 +224,7 @@ def test_pathological_query_trips_deadline_on_both_backends():
         # The deadline is enforced inside iterations (kernel ticks), so the
         # solve must stop within a small margin of the 2s budget.
         assert elapsed < 10.0, f"{backend}: deadline trip took {elapsed:.1f}s"
-    assert reasons == {"dict": "deadline", "arena": "deadline"}
+    assert reasons == {"arena": "deadline", "native": "deadline"}
 
 
 # ---------------------------------------------------------------------------
