@@ -91,6 +91,17 @@ def _numpy():
     return numpy
 
 
+class Memo(dict):
+    """A caller-owned computed table, stamped with the collection generation
+    its entries belong to (the arena empties a stale one on its next use)."""
+
+    __slots__ = ("generation",)
+
+    def __init__(self, generation: int):
+        super().__init__()
+        self.generation = generation
+
+
 class ArenaBDDManager:
     """Packed-array BDD engine (see module doc)."""
 
@@ -609,9 +620,20 @@ class ArenaBDDManager:
         tag, mask, maxlevel = info
         return self._exists_kernel(node ^ 1, mask, maxlevel, tag) ^ 1
 
-    def product_memo(self) -> dict[int, int]:
+    def product_memo(self) -> Memo:
         """A fresh relational-product memo for :meth:`and_exists`."""
-        return {}
+        return Memo(self.generation)
+
+    def rename_memo(self) -> Memo:
+        """A fresh persistent memo for :meth:`rename` (one per mapping)."""
+        return Memo(self.generation)
+
+    def _current(self, memo: Memo) -> Memo:
+        """``memo``, emptied first when a collection renumbered its nodes."""
+        if memo.generation != self.generation:
+            memo.clear()
+            memo.generation = self.generation
+        return memo
 
     def and_exists(
         self,
@@ -629,19 +651,25 @@ class ArenaBDDManager:
         if info is None:
             return self._and(a, b)
         tag, mask, maxlevel = info
-        return self._and_exists_kernel(
-            a, b, mask, maxlevel, tag, cache if cache is not None else self.product_memo()
-        )
+        memo = self.product_memo() if cache is None else self._current(cache)
+        return self._and_exists_kernel(a, b, mask, maxlevel, tag, memo)
 
     # -- substitution --------------------------------------------------------
 
-    def rename(self, node: int, mapping: Mapping[str, str]) -> int:
+    def rename(
+        self, node: int, mapping: Mapping[str, str], memo: Memo | None = None
+    ) -> int:
         """Substitute variables for variables (the solver's x/y flip).
 
         The linear structural pass is attempted optimistically — it validates
         the order along every edge it rebuilds and reports a violation
         instead of walking the support up front; only genuinely
         order-breaking mappings pay for the general ``ite``-composition path.
+
+        ``memo`` is an optional caller-owned table from :meth:`rename_memo`,
+        used with this one ``mapping`` only: it keeps every node the
+        structural pass rebuilt, so renaming a set that grew only rebuilds
+        the nodes no earlier call reached.
         """
         if node <= 1 or not mapping:
             return node
@@ -654,7 +682,7 @@ class ArenaBDDManager:
             self._var_levels[source]: self._var_levels[target]
             for source, target in mapping.items()
         }
-        result = self._rename_structural(node, level_map)
+        result = self._rename_structural(node, level_map, memo)
         if result is None:
             result = self._rename_general(node, level_map)
         else:
@@ -662,21 +690,25 @@ class ArenaBDDManager:
         self._rename_cache[memo_key] = result
         return result
 
-    def _rename_structural(self, node: int, level_map: Mapping[int, int]) -> int | None:
+    def _rename_structural(
+        self, node: int, level_map: Mapping[int, int], memo: Memo | None = None
+    ) -> int | None:
         """Optimistic linear bottom-up rebuild.
 
         Returns ``None`` when the mapping breaks the variable order along
         some edge of this DAG (a rebuilt child's top level would not stay
         strictly below its parent's image) — the caller must then use the
         general path.  Nodes constructed before detection are valid, merely
-        unreferenced.
+        unreferenced, and so are the memo entries made for them.
         """
         levels = self._levels
         lows = self._lows
         highs = self._highs
         mk = self._mk
         image = level_map.get
-        rebuilt: dict[int, int] = {0: 0}  # index -> regular rebuilt ref
+        # index -> regular rebuilt ref
+        rebuilt = {} if memo is None else self._current(memo)
+        rebuilt[0] = 0
         stack = [node >> 1]
         while stack:
             index = stack[-1]

@@ -134,8 +134,8 @@ class BDD:
             self.manager, self.manager.and_exists(self.node, other.node, names, cache)
         )
 
-    def rename(self, mapping: Mapping[str, str]) -> "BDD":
-        return BDD(self.manager, self.manager.rename(self.node, mapping))
+    def rename(self, mapping: Mapping[str, str], memo: object | None = None) -> "BDD":
+        return BDD(self.manager, self.manager.rename(self.node, mapping, memo))
 
     def restrict(self, assignment: Mapping[str, bool]) -> "BDD":
         return BDD(self.manager, self.manager.restrict(self.node, assignment))

@@ -623,6 +623,23 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return -1;
 }
 
+/* The caller-owned memo argument of a kernel: NULL (with the error set) unless
+ * it came from this arena's new_memo().  Entries from before a collection name
+ * reclaimed or renumbered nodes, so a stale memo is emptied first. */
+static Table *arg_memo(ArenaObject *A, PyObject *object, const char *name)
+{
+    MemoObject *memo = (MemoObject *)object;
+    if (!PyObject_TypeCheck(object, &MemoType) || memo->serial != A->serial) {
+        PyErr_Format(PyExc_TypeError, "%s memo must come from this manager", name);
+        return NULL;
+    }
+    if (memo->generation != A->generation) {
+        table_clear(&memo->table);
+        memo->generation = A->generation;
+    }
+    return &memo->table;
+}
+
 /* The level bitmap of quantifier tag ``tag``, built from the arena's Python
  * bitmask the first time the tag is seen (tags are per-manager and fixed). */
 static const uint8_t *arg_qset(ArenaObject *A, PyObject *mask, uint32_t maxlevel, uint32_t tag)
@@ -711,21 +728,13 @@ static PyObject *Arena_and_exists(ArenaObject *A, PyObject *const *args, Py_ssiz
         || arg_ref(A, args[1], &b) < 0 || arg_u32(args[3], &maxlevel) < 0
         || arg_u32(args[4], &tag) < 0)
         return NULL;
-    MemoObject *memo = (MemoObject *)args[5];
-    if (!PyObject_TypeCheck(args[5], &MemoType) || memo->serial != A->serial) {
-        PyErr_SetString(PyExc_TypeError,
-                        "and_exists memo must come from this manager's product_memo()");
+    Table *memo = arg_memo(A, args[5], "and_exists");
+    if (!memo)
         return NULL;
-    }
-    /* Entries from before a collection name reclaimed or renumbered nodes. */
-    if (memo->generation != A->generation) {
-        table_clear(&memo->table);
-        memo->generation = A->generation;
-    }
     const uint8_t *qset = arg_qset(A, args[2], maxlevel, tag);
     if (!qset || governor_enter(A) < 0)
         return NULL;
-    return governor_exit(A, k_and_exists(A, a, b, qset, maxlevel, tag, &memo->table));
+    return governor_exit(A, k_and_exists(A, a, b, qset, maxlevel, tag, memo));
 }
 
 /* -- structural passes ------------------------------------------------------ */
@@ -748,12 +757,19 @@ static int stack_push(Stack *s, uint32_t item)
     return 0;
 }
 
-/* rename_structural(node, level_map) -- the arena's optimistic linear
- * bottom-up rebuild: None when the mapping breaks the order on some edge. */
+/* rename_structural(node, level_map, memo) -- the arena's optimistic linear
+ * bottom-up rebuild: None when the mapping breaks the order on some edge.
+ * ``memo`` (None for a one-off table) maps a node index to its rebuilt
+ * regular reference; one memo serves one level map across calls, so a call
+ * only rebuilds the nodes no earlier call reached. */
 static PyObject *Arena_rename_structural(ArenaObject *A, PyObject *const *args, Py_ssize_t nargs)
 {
     uint32_t node;
-    if (check_nargs("rename_structural", nargs, 2) < 0 || arg_ref(A, args[0], &node) < 0)
+    if (check_nargs("rename_structural", nargs, 3) < 0 || arg_ref(A, args[0], &node) < 0)
+        return NULL;
+    Table local = {NULL, 0, 0};
+    Table *rebuilt = &local;
+    if (args[2] != Py_None && !(rebuilt = arg_memo(A, args[2], "rename_structural")))
         return NULL;
     if (!PyDict_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "level_map must be a dict");
@@ -779,26 +795,25 @@ static PyObject *Arena_rename_structural(ArenaObject *A, PyObject *const *args, 
         uint32_t level = (uint32_t)PyLong_AsUnsignedLong(key); /* validated above */
         image[level] = (uint32_t)PyLong_AsUnsignedLong(value);
     }
-    Table rebuilt = {NULL, 0, 0};
     Stack stack = {NULL, 0, 0};
     PyObject *answer = NULL;
     uint32_t done = 0, low_done = 0, high_done = 0;
-    if (table_put(&rebuilt, 0, 0, 0, 0) < 0 || stack_push(&stack, node >> 1) < 0)
+    if (table_put(rebuilt, 0, 0, 0, 0) < 0 || stack_push(&stack, node >> 1) < 0)
         goto finally;
     while (stack.size) {
         uint32_t index = stack.items[stack.size - 1];
-        if (table_get(&rebuilt, index, 0, 0, &done)) {
+        if (table_get(rebuilt, index, 0, 0, &done)) {
             stack.size--;
             continue;
         }
         Node n = A->nodes[index];
         int pending = 0;
-        if (!table_get(&rebuilt, n.low >> 1, 0, 0, &low_done)) {
+        if (!table_get(rebuilt, n.low >> 1, 0, 0, &low_done)) {
             if (stack_push(&stack, n.low >> 1) < 0)
                 goto finally;
             pending = 1;
         }
-        if (!table_get(&rebuilt, n.high >> 1, 0, 0, &high_done)) {
+        if (!table_get(rebuilt, n.high >> 1, 0, 0, &high_done)) {
             if (stack_push(&stack, n.high >> 1) < 0)
                 goto finally;
             pending = 1;
@@ -815,15 +830,15 @@ static PyObject *Arena_rename_structural(ArenaObject *A, PyObject *const *args, 
             goto finally;
         }
         uint32_t result = mk(A, new_level, new_low, new_high);
-        if (result == ERR || table_put(&rebuilt, index, 0, 0, result) < 0)
+        if (result == ERR || table_put(rebuilt, index, 0, 0, result) < 0)
             goto finally;
     }
-    table_get(&rebuilt, node >> 1, 0, 0, &done);
+    table_get(rebuilt, node >> 1, 0, 0, &done);
     answer = PyLong_FromUnsignedLong(done ^ (node & 1));
 finally:
     PyMem_RawFree(image);
     PyMem_RawFree(stack.items);
-    table_clear(&rebuilt);
+    table_clear(&local);
     return answer;
 }
 
@@ -1162,7 +1177,7 @@ static PyMethodDef Arena_methods[] = {
     {"and_exists", (PyCFunction)(void (*)(void))Arena_and_exists, METH_FASTCALL,
      "and_exists(a, b, mask, maxlevel, tag, memo)"},
     {"rename_structural", (PyCFunction)(void (*)(void))Arena_rename_structural, METH_FASTCALL,
-     "rename_structural(node, level_map) -> ref or None"},
+     "rename_structural(node, level_map, memo) -> ref or None"},
     {"support_levels", (PyCFunction)Arena_support_levels, METH_O, "support_levels(node)"},
     {"dag_size", (PyCFunction)(void (*)(void))Arena_dag_size, METH_FASTCALL,
      "dag_size(node, limit)"},

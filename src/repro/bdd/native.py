@@ -188,8 +188,16 @@ class NativeBDDManager(ArenaBDDManager):
         """A fresh relational-product memo (an exact C table with ``clear()``)."""
         return self._arena.new_memo()
 
-    def _rename_structural(self, node: int, level_map: Mapping[int, int]) -> int | None:
-        return self._arena.rename_structural(node, dict(level_map))
+    rename_memo = product_memo
+
+    def _current(self, memo):
+        # The C kernels check a memo's owner and generation themselves.
+        return memo
+
+    def _rename_structural(
+        self, node: int, level_map: Mapping[int, int], memo=None
+    ) -> int | None:
+        return self._arena.rename_structural(node, dict(level_map), memo)
 
     def _support_levels(self, node: int) -> set[int]:
         return self._arena.support_levels(node)

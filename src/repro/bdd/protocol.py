@@ -129,7 +129,8 @@ class BDDBackend(Protocol):
     def exists(self, node: int, names: Iterable[str]) -> int: ...
     def forall(self, node: int, names: Iterable[str]) -> int: ...
     #: A fresh, opaque relational-product memo for :meth:`and_exists` (it
-    #: supports ``clear()``); reusable across calls with the same names.
+    #: supports ``clear()``); reusable across calls with the same names and
+    #: across collections (the engine empties it once its nodes moved).
     def product_memo(self) -> object: ...
     def and_exists(
         self,
@@ -140,7 +141,12 @@ class BDDBackend(Protocol):
     ) -> int: ...
 
     # -- substitution ------------------------------------------------------
-    def rename(self, node: int, mapping: Mapping[str, str]) -> int: ...
+    #: A fresh, opaque persistent memo for :meth:`rename`, used with one
+    #: mapping only; it outlives collections like a product memo.
+    def rename_memo(self) -> object: ...
+    def rename(
+        self, node: int, mapping: Mapping[str, str], memo: object | None = None
+    ) -> int: ...
     def restrict(self, node: int, assignment: Mapping[str, bool]) -> int: ...
     def cofactor(self, node: int, name: str, value: bool) -> int: ...
 

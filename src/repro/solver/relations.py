@@ -23,6 +23,11 @@ from repro.logic.closure import Lean
 from repro.trees.focus import FORWARD_MODALITIES, MODALITIES
 
 
+#: Largest conjunction, in BDD nodes, a schedule cluster may hold (see
+#: :meth:`TransitionRelation._build_schedule` and docs/ARCHITECTURE.md).
+CLUSTER_NODES = 100
+
+
 class LeanEncoding:
     """Bit-vector encoding of ψ-types over a BDD manager.
 
@@ -47,6 +52,9 @@ class LeanEncoding:
         self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
         self._x_to_y = dict(zip(self.x_names, self.y_names))
         self._y_to_x = dict(zip(self.y_names, self.x_names))
+        # Every product renames a proved set that only grew since the last
+        # one, so the x→y rebuild is memoised across calls.
+        self._x_to_y_memo = self.manager.rename_memo()
         self.manager.add_gc_hook(self._gc_roots, self._gc_remap)
 
     # -- garbage-collection participation ----------------------------------------
@@ -73,7 +81,7 @@ class LeanEncoding:
         return self.y(index) if primed else self.x(index)
 
     def to_primed(self, function: BDD) -> BDD:
-        return function.rename(self._x_to_y)
+        return function.rename(self._x_to_y, self._x_to_y_memo)
 
     def to_unprimed(self, function: BDD) -> BDD:
         return function.rename(self._y_to_x)
@@ -208,8 +216,8 @@ class _Partition:
 class _ScheduleStep:
     """One step of the precomputed early-quantification schedule.
 
-    ``block`` is the conjunction of the partitions grouped at this step (built
-    once, at relation-construction time) and ``eliminable`` the primed
+    ``block`` is the conjunction of the partitions clustered at this step
+    (built once, at relation-construction time) and ``eliminable`` the primed
     variables that no later step mentions, so they can be quantified out as
     soon as the block has been conjoined with the operand.
     ``primed_support`` is the union of the grouped partitions' primed
@@ -224,7 +232,8 @@ class _ScheduleStep:
     partition_count: int = 1
     #: Persistent relational-product memo for this step (the block and the
     #: eliminated variables are fixed, so only the incoming operand varies),
-    #: from the manager's ``product_memo()``; cleared on garbage collection.
+    #: from the manager's ``product_memo()``; emptied by the engine after a
+    #: garbage collection.
     cache: object = None
 
 
@@ -251,12 +260,11 @@ class TransitionRelation:
     types ``x`` such that, *if* ``x`` claims an ``a``-child, a compatible
     witness exists in ``target``; ``witness_strict`` additionally requires the
     child to exist (used for propagating the start mark through a branch).
-    Both share one relational product per target: the product is cached by
-    the target's node id, so the fixpoint loop of :mod:`repro.solver.symbolic`
-    never recomputes it when a set is unchanged between iterations (or when
-    both the guarded and the strict witness of the same set are needed).
-    Each schedule step additionally memoises its own products, so a product
-    over a set that grew only redoes the work below the changed region.
+    Each call computes one relational product: the fixpoint loop of
+    :mod:`repro.solver.symbolic` only asks again once a set changed.  Each
+    schedule step memoises its own products, and the x→y rename of the
+    operand is memoised across calls, so a product over a set that grew
+    only redoes the work below the changed region.
 
     ``partitions_skipped`` counts the partitions avoided by the
     cone-of-influence check (a partition component whose primed variables
@@ -295,12 +303,7 @@ class TransitionRelation:
             index: step.primed_support for index, step in enumerate(self._schedule)
         }
         self._components = self._build_components()
-        # Keyed by (backend name, target node id): node ids are only unique
-        # *within* an engine, so a bare id could alias a stale entry after a
-        # backend switch re-created the encoding in the same process.
-        self._product_cache: dict[tuple[str, int], BDD] = {}
         self.product_calls = 0
-        self.product_cache_hits = 0
         self.partitions_skipped = 0
         encoding.manager.add_gc_hook(self._gc_roots, self._gc_remap)
 
@@ -311,31 +314,18 @@ class TransitionRelation:
         roots.extend(step.block.node for step in self._schedule)
         if self._monolithic_relation is not None:
             roots.append(self._monolithic_relation.node)
-        roots.extend(product.node for product in self._product_cache.values())
         return roots
 
     def _gc_remap(self, remap: dict[int, int]) -> None:
-        """Translate every stored node id; drop entries whose key died.
-
-        Product-cache *keys* are target node ids owned by the solver — a key
-        the solver no longer kept alive is stale and must be cleared (keeping
-        it could silently alias a different function that now occupies the
-        reclaimed id).
-        """
+        """Translate every stored node id (the engine empties the step memos)."""
         manager = self.encoding.manager
         wrap = lambda function: manager.wrap(manager.translate(remap, function.node))
         for partition in self.partitions:
             partition.function = wrap(partition.function)
         for step in self._schedule:
             step.block = wrap(step.block)
-            step.cache.clear()
         if self._monolithic_relation is not None:
             self._monolithic_relation = wrap(self._monolithic_relation)
-        self._product_cache = {
-            (backend, remap[node]): wrap(product)
-            for (backend, node), product in self._product_cache.items()
-            if node in remap
-        }
 
     def _build_partitions(self) -> list[_Partition]:
         encoding = self.encoding
@@ -358,7 +348,7 @@ class TransitionRelation:
         return partitions
 
     def _build_schedule(self) -> list[_ScheduleStep]:
-        """Precompute the elimination order of Section 7.3.
+        """Precompute the clustered elimination order of Section 7.3.
 
         The greedy choice eliminates, at each step, the primed variable
         mentioned by the *fewest remaining partitions* (so each block
@@ -366,17 +356,23 @@ class TransitionRelation:
         shallowest variable in the interleaved order (quantifying
         top-of-order ``y`` variables early collapses the upper levels of
         every intermediate before the deeper equivalences are conjoined).
-        Against the previous min-total-support choice this measures ~3x
-        faster products on the deep-nesting scaling family and slightly
-        faster XHTML rows (see BENCH_scaling.json).
+
+        Consecutive blocks are then clustered (Ranjan et al., IWLS 1995):
+        a block joins the previous cluster while their conjunction stays
+        within :data:`CLUSTER_NODES` nodes.  Every step of a product is one
+        ``and_exists`` pass over the whole intermediate, so fewer, larger
+        steps do less work as long as the clusters stay small.  A pair whose
+        sizes already add up past the limit is not tried: building rejected
+        conjunctions is what a small lean would pay for.
+
         The order only depends on the partitions, never on the operand, so
-        the grouping of partitions into blocks — and the block conjunctions
-        themselves — are computed once here instead of on every relational
+        the clusters are computed once here instead of on every relational
         product.  A variable becomes eliminable at the first step after which
-        no later block mentions it; the operand is pure-primed, so it blocks
+        no later step mentions it; the operand is pure-primed, so it blocks
         nothing.
         """
-        level_of = self.encoding.manager.level_of
+        manager = self.encoding.manager
+        level_of = manager.level_of
         remaining = list(self.partitions)
         grouped: list[list[_Partition]] = []
         while remaining:
@@ -393,24 +389,31 @@ class TransitionRelation:
             grouped.append([p for p in remaining if cheapest in p.primed_support])
             remaining = [p for p in remaining if cheapest not in p.primed_support]
 
-        steps: list[_ScheduleStep] = []
-        seen_later: set[str] = set()
-        pending_steps: list[tuple[BDD, frozenset[str], int]] = []
+        # (conjunction, its size capped at CLUSTER_NODES + 1, primed
+        # support, partition count) per cluster.
+        clusters: list[tuple[BDD, int, frozenset[str], int]] = []
         for group in grouped:
-            block = self.encoding.manager.true()
-            support: set[str] = set()
+            block = manager.true()
             for partition in group:
                 block = block & partition.function
-                support |= partition.primed_support
-            pending_steps.append((block, frozenset(support), len(group)))
-        for block, support, count in reversed(pending_steps):
+            size = block.dag_size(CLUSTER_NODES)
+            support = frozenset().union(*(p.primed_support for p in group))
+            if clusters and clusters[-1][1] + size <= CLUSTER_NODES:
+                cluster, _size, cluster_support, count = clusters[-1]
+                merged = cluster & block
+                merged_size = merged.dag_size(CLUSTER_NODES)
+                if merged_size <= CLUSTER_NODES:
+                    support |= cluster_support
+                    clusters[-1] = (merged, merged_size, support, count + len(group))
+                    continue
+            clusters.append((block, size, support, len(group)))
+
+        steps: list[_ScheduleStep] = []
+        seen_later: frozenset[str] = frozenset()
+        for block, _size, support, count in reversed(clusters):
             steps.append(
                 _ScheduleStep(
-                    block,
-                    support - seen_later,
-                    support,
-                    count,
-                    self.encoding.manager.product_memo(),
+                    block, support - seen_later, support, count, manager.product_memo()
                 )
             )
             seen_later |= support
@@ -514,7 +517,7 @@ class TransitionRelation:
         )
 
     def _witness_product(self, target_x: BDD) -> BDD:
-        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node."""
+        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
         manager = self.encoding.manager
         if target_x.manager is not manager:
             raise ValueError(
@@ -526,15 +529,8 @@ class TransitionRelation:
             # ∃y (⊥ ∧ ∆ₐ) — nothing to compute, every partition is skipped.
             self.partitions_skipped += len(self.partitions)
             return manager.false()
-        cache_key = (manager.backend_name, target_x.node)
-        cached = self._product_cache.get(cache_key)
-        if cached is not None:
-            self.product_cache_hits += 1
-            return cached
         self.product_calls += 1
-        product = self._product(self._primed_operand(target_x))
-        self._product_cache[cache_key] = product
-        return product
+        return self._product(self._primed_operand(target_x))
 
     def witness(self, target_x: BDD) -> BDD:
         """``Witₐ(target)``: ``isparentₐ(x) → ∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""

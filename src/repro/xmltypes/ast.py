@@ -113,110 +113,6 @@ class BinaryTypeGrammar:
             name=self.name,
         )
 
-    def relabelled(self, keep: set[str], other_label: str) -> "BinaryTypeGrammar":
-        """A copy whose labels outside ``keep`` all become ``other_label``.
-
-        This is a *label homomorphism*: the grammar's variables, alternatives
-        and recursion structure are untouched, only node labels collapse, so
-        the resulting language is exactly the homomorphic image of the
-        original one.  It is the projection step of cone-of-influence Lean
-        pruning: element names a problem's expressions never test are
-        indistinguishable to the problem, and collapsing them onto the
-        logic's "any other label" proposition removes one Lean bit per name
-        (plus the quadratic exactly-one-label constraints that go with them).
-        """
-        if keep >= self.labels():
-            return self
-        relabelled: dict[str, tuple[Alternative, ...]] = {}
-        for variable, alternatives in self.variables.items():
-            relabelled[variable] = tuple(
-                alternative
-                if not isinstance(alternative, LabelAlternative)
-                or alternative.label in keep
-                else LabelAlternative(other_label, alternative.first, alternative.next)
-                for alternative in alternatives
-            )
-        return BinaryTypeGrammar(
-            variables=relabelled, start=self.start, name=self.name
-        )
-
-    def minimized(self) -> "BinaryTypeGrammar":
-        """A copy merging language-equivalent variables (partition refinement).
-
-        Two variables are merged when their alternative sets coincide once
-        every referenced variable is replaced by its equivalence class — the
-        coarsest congruence, computed by the classic refine-until-stable
-        loop.  After :meth:`relabelled` has collapsed labels, many variables
-        become indistinguishable (every leaf element, every chain over
-        collapsed labels, ...), so the grammar — and with it the closure and
-        Lean of its compiled formula — shrinks accordingly.
-        """
-        variables = list(self.variables)
-        # The ε variable is its own fixed class; everything else starts in
-        # one class and is split by alternative signatures until stable.
-        classes: dict[str, int] = {variable: 0 for variable in variables}
-        classes[self.EPSILON_VARIABLE] = -1
-
-        def signature(variable: str):
-            parts = set()
-            for alternative in self.alternatives(variable):
-                if isinstance(alternative, LabelAlternative):
-                    parts.add(
-                        (
-                            alternative.label,
-                            classes.get(alternative.first, -1),
-                            classes.get(alternative.next, -1),
-                        )
-                    )
-                else:
-                    parts.add(("ε",))
-            return frozenset(parts)
-
-        while True:
-            buckets: dict[tuple[int, frozenset], int] = {}
-            next_classes: dict[str, int] = {self.EPSILON_VARIABLE: -1}
-            for variable in variables:
-                key = (classes[variable], signature(variable))
-                next_classes[variable] = buckets.setdefault(key, len(buckets))
-            stable = len(buckets) == len({classes[v] for v in variables})
-            classes = next_classes
-            if stable:
-                break
-
-        # One representative per class (the first in declaration order, so
-        # the start variable's class keeps a stable name).
-        representative: dict[int, str] = {}
-        for variable in variables:
-            representative.setdefault(classes[variable], variable)
-        if len(representative) == len(variables):
-            return self
-
-        def rename(variable: str) -> str:
-            if variable == self.EPSILON_VARIABLE or variable not in classes:
-                return variable
-            return representative[classes[variable]]
-
-        minimized: dict[str, tuple[Alternative, ...]] = {}
-        for variable in variables:
-            name = representative[classes[variable]]
-            if name in minimized:
-                continue
-            minimized[name] = tuple(
-                dict.fromkeys(
-                    alternative
-                    if not isinstance(alternative, LabelAlternative)
-                    else LabelAlternative(
-                        alternative.label,
-                        rename(alternative.first),
-                        rename(alternative.next),
-                    )
-                    for alternative in self.alternatives(variable)
-                )
-            )
-        return BinaryTypeGrammar(
-            variables=minimized, start=rename(self.start), name=self.name
-        )
-
     def describe(self) -> str:
         """Textual rendering in the style of Figure 13."""
         lines = []
@@ -227,3 +123,148 @@ class BinaryTypeGrammar:
         lines.append(f"{len(self.variables)} type variables.")
         lines.append(f"{len(self.labels())} terminals.")
         return "\n".join(lines)
+
+
+class GrammarIndex:
+    """A grammar in integer form, for projecting it onto label alphabets.
+
+    Variables are numbered in declaration order and labels in order of first
+    use; an alternative becomes ``(label, first, next)`` over those numbers
+    (``None`` for ε), where a reference to an undeclared variable — the
+    implicit ``Epsilon`` included — becomes the extra number ``n``.  The
+    index is built once per grammar (``compile_dtd`` keeps one per DTD and
+    root) and serves every alphabet, so the grammar must not change
+    afterwards.
+    """
+
+    def __init__(self, grammar: BinaryTypeGrammar):
+        self.grammar = grammar
+        self.variables = tuple(grammar.variables)
+        self.sources = tuple(grammar.variables.values())
+        self.number = number = {
+            variable: position for position, variable in enumerate(self.variables)
+        }
+        undeclared = len(self.variables)
+        label_ids: dict[str, int] = {}
+        self.alternatives = tuple(
+            tuple(
+                None
+                if not isinstance(alternative, LabelAlternative)
+                else (
+                    label_ids.setdefault(alternative.label, len(label_ids)),
+                    number.get(alternative.first, undeclared),
+                    number.get(alternative.next, undeclared),
+                )
+                for alternative in alternatives
+            )
+            for alternatives in self.sources
+        )
+        self.labels = tuple(label_ids)
+        #: Position of a declared ``Epsilon`` (it starts in a class of its own).
+        self.epsilon = number.get(BinaryTypeGrammar.EPSILON_VARIABLE)
+
+    def project(self, keep: set[str], other_label: str) -> BinaryTypeGrammar:
+        """The grammar with labels outside ``keep`` renamed ``other_label``,
+        quotiented by language equivalence of its variables.
+
+        The relabelling is a *label homomorphism*: the grammar's variables,
+        alternatives and recursion structure are untouched, only node labels
+        collapse, so the language is exactly the homomorphic image of the
+        original one.  It is the projection step of cone-of-influence Lean
+        pruning: element names a problem's expressions never test are
+        indistinguishable to the problem, and collapsing them onto the
+        logic's "any other label" proposition removes one Lean bit per name.
+        When ``keep`` covers every label the grammar itself is returned.
+
+        The quotient merges two variables when their alternative sets
+        coincide once every referenced variable is replaced by its class —
+        the coarsest congruence, computed by the classic refine-until-stable
+        loop over integer signatures.  The declared ``Epsilon`` starts in a
+        class of its own and every undeclared reference stays in class -1.
+        Each class is named after its first variable in declaration order
+        (so the start variable's class keeps a stable name), and keeps that
+        variable's alternatives in order, without repeats.  When no two
+        variables merge, the relabelled grammar comes back as it is.
+        """
+        grammar = self.grammar
+        if keep.issuperset(self.labels):
+            return grammar
+        labels = [label if label in keep else other_label for label in self.labels]
+        count = len(self.variables)
+        # A class is held shifted by one (``rank``), so every undeclared
+        # reference has rank 0 and a signature part is a non-negative int.
+        width = count + 1
+        # The label part of a signature: collapsed labels share it.
+        label_parts: dict[str, int] = {}
+        parts = [
+            label_parts.setdefault(label, len(label_parts) * width * width)
+            for label in labels
+        ]
+        # Per variable, its alternatives as (label part, first, next); ε is
+        # (-1, n, n), whose part is -1 at any ranks.
+        encoded = [
+            [
+                (-1, count, count)
+                if alternative is None
+                else (parts[alternative[0]], alternative[1], alternative[2])
+                for alternative in alternatives
+            ]
+            for alternatives in self.alternatives
+        ]
+        ranks = [1] * count + [0]
+        if self.epsilon is not None:
+            ranks[self.epsilon] = 0
+        while True:
+            buckets: dict[tuple[int, frozenset[int]], int] = {}
+            next_ranks = [0] * (count + 1)
+            for variable, alternatives in enumerate(encoded):
+                signature = frozenset(
+                    [
+                        base + ranks[first] * width + ranks[next_]
+                        for base, first, next_ in alternatives
+                    ]
+                )
+                next_ranks[variable] = buckets.setdefault(
+                    (ranks[variable], signature), len(buckets) + 1
+                )
+            stable = len(buckets) == len(set(ranks[:count]))
+            ranks = next_ranks
+            if stable:
+                break
+
+        representative: dict[int, int] = {}
+        for variable in range(count):
+            representative.setdefault(ranks[variable], variable)
+        # When nothing merges, every variable represents itself and the
+        # relabelled grammar comes back alternative for alternative.
+        merged = len(representative) < count
+        names = self.variables
+
+        def rename(number: int, name: str) -> str:
+            if not merged or number == count or number == self.epsilon:
+                return name
+            return names[representative[ranks[number]]]
+
+        variables: dict[str, tuple[Alternative, ...]] = {}
+        for variable in representative.values():
+            alternatives = [
+                source
+                if alternative is None
+                else LabelAlternative(
+                    labels[alternative[0]],
+                    rename(alternative[1], source.first),
+                    rename(alternative[2], source.next),
+                )
+                for alternative, source in zip(
+                    self.alternatives[variable], self.sources[variable]
+                )
+            ]
+            variables[names[variable]] = tuple(
+                dict.fromkeys(alternatives) if merged else alternatives
+            )
+        start = grammar.start
+        return BinaryTypeGrammar(
+            variables=variables,
+            start=rename(self.number.get(start, count), start),
+            name=grammar.name,
+        )

@@ -50,7 +50,12 @@ from typing import Iterable, Mapping
 
 from repro.logic import syntax as sx
 from repro.logic.closure import OTHER_ATTRIBUTE, OTHER_LABEL
-from repro.xmltypes.ast import Alternative, BinaryTypeGrammar, LabelAlternative
+from repro.xmltypes.ast import (
+    Alternative,
+    BinaryTypeGrammar,
+    GrammarIndex,
+    LabelAlternative,
+)
 from repro.xmltypes.binarize import binarize_dtd
 from repro.xmltypes.content import symbols as content_symbols
 from repro.xmltypes.dtd import DTD
@@ -74,11 +79,7 @@ def project_grammar(
     kept intact.  See :func:`repro.analysis.problems.label_projection` for
     when a whole decision problem may apply it.
     """
-    keep = set(labels) | set(protected)
-    projected = grammar.relabelled(keep, OTHER_LABEL)
-    if projected is grammar:
-        return grammar
-    return projected.minimized()
+    return GrammarIndex(grammar).project(set(labels) | set(protected), OTHER_LABEL)
 
 
 def _variable_formula_name(grammar_name: str, variable: str) -> str:
@@ -263,20 +264,23 @@ def compile_dtd(
     still distinguish them through their attributes.
 
     The binarized grammar is a pure function of the DTD and its root, so it
-    is built on the first call and kept on the DTD for every later one.
+    is built and indexed on the first call and kept on the DTD for every
+    later one.
     """
     root_element = root if root is not None else dtd.root
-    grammar = dtd._grammars.get(root_element)
-    if grammar is None:
+    index = dtd._grammars.get(root_element)
+    if index is None:
         # Binarized once per DTD and root; projections below never mutate it.
-        grammar = dtd._grammars[root_element] = binarize_dtd(dtd, root=root)
+        index = dtd._grammars[root_element] = GrammarIndex(
+            binarize_dtd(dtd, root=root)
+        )
     constraints = (
         attribute_constraints(dtd, attributes) if attributes is not None else None
     )
+    grammar = index.grammar
     if labels is not None:
-        grammar = project_grammar(
-            grammar, labels, protected=constraints.keys() if constraints else ()
-        )
+        # project_grammar over the kept index.
+        grammar = index.project(set(labels) | set(constraints or ()), OTHER_LABEL)
     return compile_grammar(
         grammar,
         constrain_siblings=constrain_siblings,

@@ -27,7 +27,7 @@ from repro.core.errors import ParseError
 from repro.xmltypes import content as cm
 
 if TYPE_CHECKING:
-    from repro.xmltypes.ast import BinaryTypeGrammar
+    from repro.xmltypes.ast import GrammarIndex
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class DTD:
     name: str = "dtd"
     #: Attribute declarations per element name, in declaration order.
     attlists: dict[str, tuple[AttributeDeclaration, ...]] = field(default_factory=dict)
-    #: Binarized grammar per root element, filled by ``compile_dtd`` and
-    #: shared by every projection (which only ever reads it or copies it).
-    _grammars: dict[str, "BinaryTypeGrammar"] = field(
+    #: Binarized grammar per root element, in integer form, filled by
+    #: ``compile_dtd`` and shared by every projection (which only reads it).
+    _grammars: dict[str, "GrammarIndex"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

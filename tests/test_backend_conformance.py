@@ -402,14 +402,13 @@ def test_psi_type_count_agrees_across_backends():
 
 
 # ---------------------------------------------------------------------------
-# Regression: product caches must be backend-qualified
+# Regression: node ids never cross engines
 # ---------------------------------------------------------------------------
 
 
-def test_product_cache_keys_are_backend_qualified():
-    """Node ids are engine-local: the witness-product cache must never mix
-    entries from managers of different backends (regression for the cache
-    that keyed on bare node ids)."""
+def test_foreign_manager_targets_are_rejected():
+    """Node ids are engine-local: a witness target from another manager must
+    be rejected, not read as a node of the relation's own table."""
     from repro.logic import syntax as sx
     from repro.logic.closure import lean as compute_lean
     from repro.solver.relations import LeanEncoding, TransitionRelation
@@ -419,18 +418,12 @@ def test_product_cache_keys_are_backend_qualified():
     for engine in available_backends():
         encoding = LeanEncoding(lean, backend=engine)
         relation = TransitionRelation(encoding, 1)
-        target = encoding.types_constraint()
-        relation.witness(target)
-        assert all(
-            key[0] == engine for key in relation._product_cache
-        ), f"cache keys of the {engine!r} relation must carry the backend name"
-
-        # A target from a *different* manager must be rejected, not silently
-        # looked up by its (engine-local) node id.
-        other_engine = next(e for e in available_backends() if e != engine)
-        foreign = LeanEncoding(lean, backend=other_engine)
-        with pytest.raises(ValueError, match="different BDD manager"):
-            relation.witness(foreign.types_constraint())
+        relation.witness(encoding.types_constraint())
+        for other_engine in available_backends():
+            foreign = LeanEncoding(lean, backend=other_engine)
+            for witness in (relation.witness, relation.witness_strict):
+                with pytest.raises(ValueError, match="different BDD manager"):
+                    witness(foreign.types_constraint())
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +437,10 @@ def _operation_trace(engine, seed, max_steps=None, steps=160, after_trip=40):
     The sequence covers the kernels (conj/disj/xor/iff/implies/ite),
     quantification (``exists``/``forall``/``and_exists`` with a step memo
     reused per quantified set, as the transition relations do), renaming on
-    both the structural and the general path, restriction, inspection, and
-    garbage collection with the remap applied to every held id.  A governor
+    both the structural and the general path with a rename memo reused per
+    mapping, restriction, inspection, and garbage collection with the remap
+    applied to every held id (the memos are kept across collections: each
+    engine must empty them itself).  A governor
     counts the kernel steps after every operation; with ``max_steps`` it
     trips mid-kernel, and ``after_trip`` more operations run ungoverned on
     whatever the unwound kernels left behind.
@@ -500,7 +495,8 @@ def _operation_trace(engine, seed, max_steps=None, steps=160, after_trip=40):
             }
             if flip:
                 mapping = {target: source for source, target in mapping.items()}
-            return lambda: manager.rename(f, mapping)
+            memo = memos.setdefault(tuple(mapping.items()), manager.rename_memo())
+            return lambda: manager.rename(f, mapping, memo)
         if op == 8:
             return lambda: manager.restrict(f, values)
         if op == 9:
@@ -514,8 +510,6 @@ def _operation_trace(engine, seed, max_steps=None, steps=160, after_trip=40):
             def collect():
                 remap = manager.garbage_collect(kept)
                 state["pool"] = [remap[node] for node in kept]
-                for memo in memos.values():
-                    memo.clear()
                 trace.append(("gc", sorted(remap.items())))
 
             return collect
@@ -577,6 +571,66 @@ def test_native_matches_arena_solver_statistics_on_scaling_depths():
                 stats.pop(timing, None)
             runs[engine] = (result.satisfiable, stats)
         assert runs["native"] == runs["arena"], depth
+
+
+#: Counter ceilings of the depth-3 scaling row, on every engine (the same
+#: bounds the ``repro bench scaling|backend --quick`` runs enforce).
+PRODUCT_CALLS_MAX_DEPTH3 = 22
+ITE_CALLS_MAX_DEPTH3 = 20_500
+
+
+@pytest.mark.parametrize("engine", ["arena", "native"])
+def test_scaling_depth3_counters_stay_under_their_ceilings(engine):
+    from repro.analysis.problems import _query_formula
+    from repro.cli import bench
+    from repro.logic import syntax as sx
+    from repro.logic.negation import negate
+    from repro.solver.symbolic import SymbolicSolver
+
+    assert bench.SCALING_PRODUCT_CALLS_MAX_DEPTH3 == PRODUCT_CALLS_MAX_DEPTH3
+    assert bench.BACKEND_ITE_CALLS_MAX_DEPTH3[engine] == ITE_CALLS_MAX_DEPTH3
+    query = bench.scaling_query(3)
+    formula = sx.mk_and(
+        _query_formula(query, None), negate(_query_formula(query.replace("[b2]", ""), None))
+    )
+    statistics = SymbolicSolver(formula, backend=engine).solve().statistics
+    assert statistics.product_calls <= PRODUCT_CALLS_MAX_DEPTH3
+    assert statistics.bdd_ite_calls <= ITE_CALLS_MAX_DEPTH3
+
+
+def _rename_trace(engine: str) -> list:
+    """Rename a growing set through one persistent memo per mapping, with a
+    collection in the middle; every memoised result is checked against a
+    fresh rename and recorded by node id."""
+    rng = random.Random(5)
+    names = [f"{prefix}{i}" for i in range(10) for prefix in "xy"]
+    manager = create_manager(names, backend=engine)
+    mappings = {
+        "x->y": {f"x{i}": f"y{i}" for i in range(10)},  # always structural
+        "swap": {"x1": "x4", "x4": "x1"},  # breaks the order on some edges
+    }
+    memos = {name: manager.rename_memo() for name in mappings}
+    grown = manager.FALSE
+    trace = []
+    for step in range(40):
+        cube = manager.TRUE
+        for index in rng.sample(range(10), 4):
+            literal = manager.var_node(f"x{index}")
+            cube = manager.conj(cube, literal if rng.random() < 0.5 else manager.neg(literal))
+        grown = manager.disj(grown, cube)
+        for name, mapping in mappings.items():
+            renamed = manager.rename(grown, mapping, memos[name])
+            manager.clear_caches()  # a fresh rename: no result cache, no memo
+            assert manager.rename(grown, mapping) == renamed, (engine, step, name)
+            trace.append((step, name, renamed))
+        if step == 20:
+            grown = manager.garbage_collect([grown])[grown]
+            trace.append(("gc", manager.node_count()))
+    return trace
+
+
+def test_persistent_rename_memo_equals_a_fresh_rename():
+    assert _rename_trace("native") == _rename_trace("arena")
 
 
 @pytest.mark.parametrize("max_steps", [1, 4096, 60_000])
@@ -656,10 +710,14 @@ def test_processes_that_never_solve_never_load_the_native_library():
 
 
 def test_native_rejects_a_foreign_product_memo():
-    """A memo's entries are node ids of the manager that made it."""
+    """A memo's entries (product or rename) are node ids of the manager that
+    made it."""
     first = create_manager(NAMES, backend="native")
     second = create_manager(NAMES, backend="native")
     a, b = first.var_node("v0"), first.var_node("v1")
     with pytest.raises(TypeError, match="this manager"):
         first.and_exists(a, b, ["v0"], second.product_memo())
     assert first.and_exists(a, b, ["v0"], first.product_memo()) == b
+    with pytest.raises(TypeError, match="this manager"):
+        first.rename(a, {"v0": "v2"}, second.rename_memo())
+    assert first.rename(a, {"v0": "v2"}, first.rename_memo()) == first.var_node("v2")

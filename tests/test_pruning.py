@@ -13,14 +13,19 @@ three properties the optimisation rests on:
   element names and validate against the original DTD.
 """
 
+import random
+
 import pytest
 
 from repro.analysis import Analyzer
 from repro.analysis.problems import label_projection, relevant_labels
 from repro.api import Query, StaticAnalyzer
 from repro.logic import syntax as sx
+from repro.logic.closure import OTHER_LABEL
+from repro.testing.generators import GeneratorConfig, gen_dtd
+from repro.xmltypes.ast import BinaryTypeGrammar, LabelAlternative
 from repro.xmltypes.binarize import binarize_dtd
-from repro.xmltypes.compile import project_grammar
+from repro.xmltypes.compile import compile_dtd, project_grammar
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
 from repro.xmltypes.membership import dtd_accepts, grammar_accepts, lift_wildcards
@@ -91,6 +96,138 @@ def test_projected_grammar_is_a_label_homomorphism():
     )
     assert grammar_accepts(grammar, original)
     assert grammar_accepts(projected, image)
+
+
+def _reference_relabelled(grammar, keep, other_label):
+    """The original string-keyed label homomorphism, kept as a reference."""
+    if keep >= grammar.labels():
+        return grammar
+    relabelled = {}
+    for variable, alternatives in grammar.variables.items():
+        relabelled[variable] = tuple(
+            alternative
+            if not isinstance(alternative, LabelAlternative)
+            or alternative.label in keep
+            else LabelAlternative(other_label, alternative.first, alternative.next)
+            for alternative in alternatives
+        )
+    return BinaryTypeGrammar(variables=relabelled, start=grammar.start, name=grammar.name)
+
+
+def _reference_minimized(grammar):
+    """The original string-keyed partition refinement, kept as a reference."""
+    variables = list(grammar.variables)
+    classes = {variable: 0 for variable in variables}
+    classes[grammar.EPSILON_VARIABLE] = -1
+
+    def signature(variable):
+        parts = set()
+        for alternative in grammar.alternatives(variable):
+            if isinstance(alternative, LabelAlternative):
+                parts.add(
+                    (
+                        alternative.label,
+                        classes.get(alternative.first, -1),
+                        classes.get(alternative.next, -1),
+                    )
+                )
+            else:
+                parts.add(("ε",))
+        return frozenset(parts)
+
+    while True:
+        buckets = {}
+        next_classes = {grammar.EPSILON_VARIABLE: -1}
+        for variable in variables:
+            key = (classes[variable], signature(variable))
+            next_classes[variable] = buckets.setdefault(key, len(buckets))
+        stable = len(buckets) == len({classes[v] for v in variables})
+        classes = next_classes
+        if stable:
+            break
+    representative = {}
+    for variable in variables:
+        representative.setdefault(classes[variable], variable)
+    if len(representative) == len(variables):
+        return grammar
+
+    def rename(variable):
+        if variable == grammar.EPSILON_VARIABLE or variable not in classes:
+            return variable
+        return representative[classes[variable]]
+
+    minimized = {}
+    for variable in variables:
+        name = representative[classes[variable]]
+        if name in minimized:
+            continue
+        minimized[name] = tuple(
+            dict.fromkeys(
+                alternative
+                if not isinstance(alternative, LabelAlternative)
+                else LabelAlternative(
+                    alternative.label, rename(alternative.first), rename(alternative.next)
+                )
+                for alternative in grammar.alternatives(variable)
+            )
+        )
+    return BinaryTypeGrammar(variables=minimized, start=rename(grammar.start), name=grammar.name)
+
+
+def _reference_projection(grammar, keep):
+    projected = _reference_relabelled(grammar, keep, OTHER_LABEL)
+    return grammar if projected is grammar else _reference_minimized(projected)
+
+
+def _grammar_key(grammar):
+    return grammar.start, grammar.name, list(grammar.variables.items())
+
+
+def test_integer_projection_matches_the_string_reference():
+    """Same variables, order, representatives, alternatives and start, on the
+    bundled schemas and generated DTDs, each under random alphabets."""
+    rng = random.Random(0)
+    grammars = [binarize_dtd(builtin_dtd(name)) for name in ("smil", "xhtml-strict", "xhtml", "wikipedia")]
+    grammars.append(binarize_dtd(wide_dtd()))
+    for config in (GeneratorConfig(), GeneratorConfig(max_elements=6, max_content_depth=3)):
+        grammars += [binarize_dtd(gen_dtd(random.Random(seed), config)[1]) for seed in range(150)]
+    # A grammar that declares no Epsilon and references undeclared variables.
+    grammars.append(
+        BinaryTypeGrammar(
+            variables={
+                "S": (LabelAlternative("a", "X", "Epsilon"), LabelAlternative("b", "Y", "Epsilon")),
+                "X": (LabelAlternative("c", "Missing", "Epsilon"),),
+                "Y": (LabelAlternative("d", "Missing", "Epsilon"),),
+            },
+            start="S",
+        )
+    )
+    compared = 0
+    for grammar in grammars:
+        labels = sorted(grammar.labels())
+        alphabets = [set(), set(labels)] + [
+            set(rng.sample(labels, rng.randint(0, len(labels)))) for _ in range(40)
+        ]
+        for keep in alphabets:
+            got = project_grammar(grammar, keep)
+            want = _reference_projection(grammar, keep)
+            assert _grammar_key(got) == _grammar_key(want), (grammar.name, sorted(keep))
+            assert got.describe() == want.describe()
+            compared += 1
+    assert compared > 12_000
+
+
+def test_compile_dtd_projects_through_the_kept_index():
+    """``compile_dtd(labels=...)`` equals compiling the reference projection."""
+    from repro.xmltypes.compile import compile_grammar
+
+    dtd = builtin_dtd("xhtml-strict")
+    labels = sorted(binarize_dtd(dtd).labels())
+    rng = random.Random(1)
+    for _ in range(10):
+        keep = set(rng.sample(labels, rng.randint(0, 8)))
+        reference = _reference_projection(binarize_dtd(dtd), keep)
+        assert compile_dtd(dtd, labels=keep) == compile_grammar(reference)
 
 
 def test_minimization_merges_collapsed_variables():

@@ -12,6 +12,8 @@ The central properties checked here:
 * the mark-tracking update keeps exactly one start mark in every model.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -293,12 +295,66 @@ def test_gc_hooks_translate_external_caches():
     generation = encoding.manager.generation
     remap = encoding.manager.garbage_collect([types.node, witness_before.node])
     assert encoding.manager.generation == generation + 1
-    # The relation's product cache survived the collection (translated, not
-    # cleared): asking again must be a cache hit with a valid node.
-    hits_before = relation.product_cache_hits
+    # The relation's blocks and the encoding's status and rename memos were
+    # translated or emptied, not left stale: the same product again is the
+    # translated function.
     witness_after = relation.witness(encoding.manager.wrap(remap[types.node]))
-    assert relation.product_cache_hits == hits_before + 1
     assert witness_after.node == remap[witness_before.node]
+
+
+def _xhtml_typed_formula() -> sx.Formula:
+    """A query under the projected xhtml-strict DTD (a Lean of 47 formulas)."""
+    from repro.analysis.problems import _query_formula, relevant_attributes, relevant_labels
+    from repro.xmltypes.library import builtin_dtd
+
+    expr = "descendant::a[ancestor::a]"
+    return _query_formula(
+        expr, builtin_dtd("xhtml-strict"), relevant_attributes(expr), relevant_labels(expr)
+    )
+
+
+def _random_targets(encoding, rng: random.Random, count: int) -> list:
+    """Random sets of types: unions of a few random cubes over ``x``, most of
+    them cut down to the consistent types, plus ⊤ and the consistent types."""
+    manager = encoding.manager
+    types = encoding.types_constraint()
+    size = len(encoding.lean)
+    targets = [manager.true(), types]
+    for _ in range(count):
+        target = manager.false()
+        for _ in range(rng.randint(1, 4)):
+            cube = manager.true()
+            for index in rng.sample(range(size), rng.randint(1, 6)):
+                literal = encoding.x(index)
+                cube = cube & (literal if rng.random() < 0.5 else ~literal)
+            target = target | cube
+        targets.append(target & types if rng.random() < 0.7 else target)
+    return targets
+
+
+@pytest.mark.parametrize("formula_name", ["scaling", "xhtml"])
+def test_clustered_product_equals_the_monolithic_product(formula_name, monkeypatch):
+    """The clustered schedule computes ∃y. T(y) ∧ ∆ₐ(x, y) exactly: the same
+    function as conjoining the whole relation before quantifying."""
+    from repro.solver import relations
+    from repro.solver.relations import LeanEncoding, TransitionRelation
+
+    formula = _containment_formula(3) if formula_name == "scaling" else _xhtml_typed_formula()
+    plunged = sx.mu1(lambda x: formula | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge")
+    encoding = LeanEncoding(compute_lean(plunged))
+    targets = _random_targets(encoding, random.Random(7), 60)
+    for program in (1, 2):
+        clustered = TransitionRelation(encoding, program)
+        monolithic = TransitionRelation(encoding, program, monolithic=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(relations, "CLUSTER_NODES", 0)
+            unclustered = TransitionRelation(encoding, program)
+        # The schedule really merged blocks into fewer, larger steps.
+        assert len(clustered._schedule) < len(unclustered._schedule)
+        for target in targets:
+            operand = clustered._primed_operand(target)
+            assert clustered._product(operand) == monolithic._product(operand)
+            assert clustered.witness_strict(target) == monolithic.witness_strict(target)
 
 
 def test_solver_counters_are_deterministic_across_runs():
